@@ -25,7 +25,12 @@
 //!   newline-delimited JSON protocol as a single shard, forwards
 //!   `validate`/`classify` by fingerprint, applies a per-client retry
 //!   budget, and hedges one retry to the ring successor when the
-//!   primary is dead or slow. Refusals are `502`, never silence.
+//!   primary is dead or slow. Refusals are `502`, never silence. It
+//!   forwards from its event loop, pipelining on one persistent
+//!   connection per shard; hedge and retry deadlines are loop timers.
+//! * `upstream` — one such shard connection as a sans-io state
+//!   machine: an out buffer, a reply-line scanner, and the FIFO that
+//!   pairs each reply with the request it answers.
 //! * [`fleet`] — point-in-time fleet observability: scrapes every
 //!   shard's `stats` verb into `silentcert_fleet_*{shard="i"}` series
 //!   merged with the supervisor's and router's own registries.
@@ -52,6 +57,7 @@ pub mod health;
 pub mod router;
 pub mod shard;
 pub mod supervisor;
+mod upstream;
 
 pub use aggregator::{
     parse_ring, snapshot_from_wire, Aggregator, AggregatorConfig, AggregatorHandle,

@@ -29,30 +29,56 @@
 //! Duplicate execution from a hedged retry is harmless — classification
 //! is a pure function — and is bounded by the hedge/retry counters.
 //!
-//! Since the event-loop rework (DESIGN.md §14) the router shares the
-//! serve daemon's readiness core: one epoll thread owns every client
-//! connection and frame state machine, and a bounded relay pool does the
-//! blocking shard forwards. High fan-in (tens of thousands of client
-//! connections) costs one fd per connection, not one thread; the relay
-//! queue bounds concurrent upstream work, and a full queue is an
-//! explicit `502`, never an unbounded backlog.
+//! The router runs entirely on the serve daemon's readiness core
+//! (DESIGN.md §14): one epoll thread owns every client connection *and*
+//! one persistent upstream connection per shard address, registered on
+//! the same poller through the [`Service`] socket hook. Forwards are
+//! pipelined on those connections — replies match requests by position,
+//! since a shard answers each connection in order — and each upstream is
+//! a sans-io `Upstream` state machine the loop feeds bytes. Hedge and
+//! retry deadlines are entries on a router-owned timer wheel advanced by
+//! the loop tick. At most [`WINDOW`] forwards are outstanding per shard;
+//! up to [`MAX_WAITING`] more wait on the loop, and beyond that a request
+//! is an explicit `502`, never an unbounded backlog. The two verbs that
+//! block — the fleet `metrics` scrape and the admin plane — each run on
+//! one small thread of their own, so neither can delay a forward.
 
 use crate::aggregator::AggregatorHandle;
 use crate::directory::Directory;
 use crate::fleet;
 use crate::supervisor::{AdminOp, AdminResult};
+use crate::upstream::Upstream;
 use silentcert_crypto::sha256;
 use silentcert_obs::metrics::{Counter, Registry, Snapshot};
 use silentcert_serve::protocol::{self, code, Op};
 use silentcert_serve::queue::{BoundedQueue, PushError};
-use silentcert_serve::{Completion, CoreConfig, EventCore, LoopStats, Service, SystemClock, Token};
-use std::collections::HashMap;
-use std::io::{BufRead, BufReader, ErrorKind, Write};
+use silentcert_serve::{
+    Clock, Completion, CoreConfig, EventCore, LoopIo, LoopStats, Readiness, Service, SystemClock,
+    TimerWheel, Token,
+};
+use std::collections::{HashMap, VecDeque};
+use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::Duration;
+
+/// Forwards outstanding on one shard connection at a time. Pipelining
+/// can therefore never overrun a shard's work queue (256 slots) and
+/// turn the router's own backlog into `503`s.
+pub const WINDOW: usize = 16;
+
+/// Forwards waiting on the loop for a window slot, across all shards.
+/// Beyond this a request is refused `502 router overloaded`.
+pub const MAX_WAITING: usize = 1_024;
+
+/// Queue depth of each blocking verb's thread (`metrics`, admin).
+const BLOCKING_QUEUE: usize = 64;
+
+/// The forward timer wheel: 5 ms buckets, one rotation per 5.12 s.
+const TIMER_TICK_MS: u64 = 5;
+const TIMER_SLOTS: usize = 1_024;
 
 /// Kills one Up shard (the supervisor provides this; see
 /// [`crate::Supervisor::killer`]).
@@ -75,7 +101,9 @@ pub struct RouterConfig {
     pub hedge_after_ms: u64,
     /// Full deadline for the retry attempt.
     pub shard_timeout_ms: u64,
-    /// Per-attempt TCP connect deadline.
+    /// TCP connect deadline when an upstream shard connection is
+    /// (re)opened. The connect runs on the loop thread, so this bounds
+    /// how long a blackholed shard address can stall it.
     pub connect_timeout_ms: u64,
     /// Idle read timeout on client connections (slow-loris guard).
     pub client_read_timeout_ms: u64,
@@ -93,10 +121,6 @@ pub struct RouterConfig {
     /// `drain_shard`, `rolling_restart`; `topology` is always allowed —
     /// it is read-only).
     pub enable_admin_ops: bool,
-    /// Relay worker threads doing the blocking shard forwards.
-    pub relay_workers: usize,
-    /// Relay queue capacity; beyond it requests are refused `502`.
-    pub relay_queue: usize,
 }
 
 impl Default for RouterConfig {
@@ -113,8 +137,6 @@ impl Default for RouterConfig {
             scrape_timeout_ms: 1_000,
             enable_chaos_ops: false,
             enable_admin_ops: false,
-            relay_workers: 16,
-            relay_queue: 1_024,
         }
     }
 }
@@ -159,33 +181,137 @@ impl Stats {
     }
 }
 
-/// Work handed from the event loop to the relay pool (everything that
-/// blocks on upstream I/O).
-enum RelayJob {
-    Forward {
-        line: String,
-        id: String,
-        der: Vec<u8>,
-        token: Token,
-        /// Topology epoch at admission: the request routes against the
-        /// ring it was admitted under, even across a live cutover.
-        epoch: u64,
-        done: Completion,
-    },
-    /// Fleet metrics scrape (blocks up to the scrape timeout per shard).
-    Metrics {
-        id: String,
-        format: Option<String>,
-        done: Completion,
-    },
-    /// Admin verb: blocks on the supervisor until the reconfiguration
-    /// completes (legitimately seconds-to-minutes for a rolling
-    /// restart; one relay worker carries it).
-    Admin {
-        op: AdminOp,
-        id: String,
-        done: Completion,
-    },
+/// A verb that blocks, run on a thread of its own so it never delays a
+/// forward.
+enum Blocking {
+    /// Fleet metrics: a `stats` scrape of every shard (up to the scrape
+    /// timeout each).
+    Metrics { format: Option<String> },
+    /// Admin verb: waits on the supervisor until the fleet reaches the
+    /// requested topology (seconds to minutes for a rolling restart).
+    Admin(AdminOp),
+}
+
+struct BlockingJob {
+    verb: Blocking,
+    id: String,
+    done: Completion,
+}
+
+/// Names one attempt of a forward: the first try (`1`) or the single
+/// hedge/retry (`2`). Upstream FIFOs, window queues and timers all hold
+/// these; whichever the forward has moved past is ignored.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Attempt {
+    fwd: u64,
+    n: u8,
+}
+
+/// Why an attempt failed (picks the hedge vs retry counter).
+#[derive(Debug, Clone, Copy)]
+enum Failure {
+    /// No reply within the attempt's deadline.
+    Timeout,
+    /// Connect refused, reset, EOF or a wedged connection: the shard is
+    /// gone.
+    Transport,
+}
+
+/// One client request on its way to a shard.
+struct Forward {
+    /// The raw frame, kept for the hedge/retry.
+    line: String,
+    id: String,
+    /// SHA-256 of the leaf DER: the ring key.
+    key: [u8; 32],
+    /// The ring owner; the hedge/retry goes to its successor.
+    primary: u32,
+    /// Topology epoch at admission (see [`Directory::admit`]).
+    epoch: u64,
+    done: Completion,
+    /// The attempt in charge.
+    attempt: u8,
+    /// Shard address of that attempt, and whether it is still waiting
+    /// there for a window slot.
+    addr: String,
+    queued: bool,
+}
+
+/// The persistent connection to one shard address.
+#[derive(Default)]
+struct Link {
+    /// The socket and its loop token; `None` until a send (re)opens it.
+    conn: Option<(TcpStream, Token)>,
+    /// Whether the loop watches the socket for output room.
+    want_write: bool,
+    wire: Upstream<Attempt>,
+    /// Attempts waiting for a window slot, oldest first.
+    waiting: VecDeque<Attempt>,
+}
+
+impl Link {
+    fn idle(&self) -> bool {
+        self.conn.is_none() && self.waiting.is_empty() && self.wire.in_flight() == 0
+    }
+}
+
+/// Forwarding state. Only the loop thread touches it (and
+/// [`Router::wait`], after the loop has exited), so its lock is never
+/// contended.
+struct Relay {
+    /// The loop's poller; absent off Linux, where the blocking fallback
+    /// forwards instead.
+    io: Option<LoopIo>,
+    /// Every admitted forward not yet answered.
+    forwards: HashMap<u64, Forward>,
+    next_fwd: u64,
+    /// One connection per shard address.
+    links: HashMap<String, Link>,
+    /// Loop token → link address.
+    tokens: HashMap<Token, String>,
+    next_token: Token,
+    /// Hedge and retry deadlines.
+    timers: TimerWheel<Attempt>,
+    scratch: Vec<u8>,
+}
+
+impl Relay {
+    fn new(now_ms: u64) -> Relay {
+        Relay {
+            io: None,
+            forwards: HashMap::new(),
+            next_fwd: 0,
+            links: HashMap::new(),
+            tokens: HashMap::new(),
+            next_token: 0,
+            timers: TimerWheel::new(TIMER_TICK_MS, TIMER_SLOTS, now_ms),
+            scratch: vec![0; 64 * 1024],
+        }
+    }
+
+    /// Take `fwd` out of the window queue it waits in, if any.
+    fn unqueue(&mut self, fwd: u64) {
+        let Some(f) = self.forwards.get_mut(&fwd) else {
+            return;
+        };
+        if std::mem::take(&mut f.queued) {
+            if let Some(link) = self.links.get_mut(&f.addr) {
+                link.waiting.retain(|a| a.fwd != fwd);
+            }
+        }
+    }
+
+    /// Attempts waiting for a window slot, across all links.
+    fn waiting(&self) -> usize {
+        self.links.values().map(|l| l.waiting.len()).sum()
+    }
+
+    /// Forget a link with nothing connected, queued or in flight.
+    fn prune(&mut self, addr: &str) {
+        if self.links.get(addr).is_some_and(Link::idle) {
+            self.links.remove(addr);
+        }
+    }
 }
 
 struct Shared {
@@ -199,9 +325,10 @@ struct Shared {
     fleet: Option<AggregatorHandle>,
     registry: Registry,
     stats: Stats,
-    relay: BoundedQueue<RelayJob>,
-    /// Relay jobs admitted but not yet answered (drain conduct).
-    relay_inflight: AtomicUsize,
+    clock: Arc<dyn Clock>,
+    relay: Mutex<Relay>,
+    metrics_jobs: BoundedQueue<BlockingJob>,
+    admin_jobs: BoundedQueue<BlockingJob>,
     /// Per-client-connection retry token buckets, keyed by loop token.
     buckets: Mutex<HashMap<Token, f64>>,
     draining: AtomicBool,
@@ -211,6 +338,12 @@ struct Shared {
 }
 
 impl Shared {
+    fn relay(&self) -> MutexGuard<'_, Relay> {
+        self.relay
+            .lock()
+            .expect("a panic while forwarding poisoned the relay state")
+    }
+
     /// Earn back a sliver of retry budget for a forwarded request.
     fn earn(&self, token: Token) {
         let mut buckets = self.buckets.lock().unwrap();
@@ -249,7 +382,8 @@ pub struct Router {
     shared: Arc<Shared>,
     addr: SocketAddr,
     core: Option<EventCore>,
-    workers: Vec<JoinHandle<()>>,
+    /// The `metrics` and admin threads.
+    blocking: Vec<JoinHandle<()>>,
 }
 
 impl Router {
@@ -272,10 +406,12 @@ impl Router {
             response_wait_ms: config.shard_timeout_ms + config.hedge_after_ms + 1_000,
             ..CoreConfig::default()
         };
-        let relay_workers = config.relay_workers.max(1);
+        let clock: Arc<dyn Clock> = Arc::new(SystemClock::new());
         let shared = Arc::new(Shared {
-            relay: BoundedQueue::new(config.relay_queue.max(1)),
-            relay_inflight: AtomicUsize::new(0),
+            relay: Mutex::new(Relay::new(clock.now_ms())),
+            metrics_jobs: BoundedQueue::new(BLOCKING_QUEUE),
+            admin_jobs: BoundedQueue::new(BLOCKING_QUEUE),
+            clock: Arc::clone(&clock),
             buckets: Mutex::new(HashMap::new()),
             config,
             directory,
@@ -288,27 +424,23 @@ impl Router {
             draining: AtomicBool::new(false),
             drain_seen_ms: AtomicU64::new(0),
         });
-        let workers = (0..relay_workers)
-            .map(|n| {
-                let shared = Arc::clone(&shared);
-                std::thread::Builder::new()
-                    .name(format!("router-relay-{n}"))
-                    .spawn(move || relay_loop(&shared))
-            })
-            .collect::<std::io::Result<Vec<_>>>()?;
+        let spawn = |name: &str, queue: fn(&Shared) -> &BoundedQueue<BlockingJob>| {
+            let shared = Arc::clone(&shared);
+            std::thread::Builder::new()
+                .name(name.to_string())
+                .spawn(move || blocking_loop(&shared, queue(&shared)))
+        };
+        let blocking = vec![
+            spawn("router-metrics", |s| &s.metrics_jobs)?,
+            spawn("router-admin", |s| &s.admin_jobs)?,
+        ];
         let service: Arc<dyn Service> = Arc::clone(&shared) as Arc<dyn Service>;
-        let core = EventCore::start(
-            listener,
-            service,
-            core_config,
-            loop_stats,
-            Arc::new(SystemClock::new()),
-        )?;
+        let core = EventCore::start(listener, service, core_config, loop_stats, clock)?;
         Ok(Router {
             shared,
             addr,
             core: Some(core),
-            workers,
+            blocking,
         })
     }
 
@@ -331,14 +463,26 @@ impl Router {
         move || shared.draining.store(true, Ordering::SeqCst)
     }
 
-    /// Block until a drain is requested, in-flight relays finished
+    /// Block until a drain is requested, in-flight forwards finished
     /// (bounded by the shard timeout), and the event loop exited.
     pub fn wait(mut self) -> RouterSummary {
         if let Some(core) = self.core.take() {
             core.join();
         }
-        self.shared.relay.close();
-        for handle in self.workers.drain(..) {
+        // A drain that hit its deadline leaves forwards unanswered:
+        // refuse them so no admission epoch stays open behind the loop.
+        {
+            let mut relay = self.shared.relay();
+            let left: Vec<u64> = relay.forwards.keys().copied().collect();
+            for fwd in left {
+                self.shared.stats.refused_failed.inc();
+                self.shared.refuse(&mut relay, fwd, "router stopped");
+            }
+            relay.links.clear();
+        }
+        self.shared.metrics_jobs.close();
+        self.shared.admin_jobs.close();
+        for handle in self.blocking.drain(..) {
             let _ = handle.join();
         }
         let s = &self.shared.stats;
@@ -379,6 +523,17 @@ fn metrics_snapshot(shared: &Shared) -> Snapshot {
 impl Service for Shared {
     fn on_frame(&self, line: String, done: Completion) {
         self.stats.requests.inc();
+        // A canonical classification frame routes on its decoded `cert`
+        // alone: the shard parses the whole frame again, so the router
+        // builds no JSON tree and decodes no chain. Anything else, or a
+        // cert that does not decode, takes the full parse below (whose
+        // error line is the one the shard would send).
+        if let Some(fast) = protocol::fast_scan(&line) {
+            if let Ok(der) = protocol::decode_cert_field(fast.cert) {
+                let id = fast.id.to_string();
+                return self.forward(line, id, &der, done);
+            }
+        }
         let req = match protocol::parse_request(&line) {
             Ok(req) => req,
             Err(e) => {
@@ -388,33 +543,10 @@ impl Service for Shared {
             }
         };
         match req.op {
-            // Forwarding and fleet scraping block on upstream sockets,
-            // so they go to the relay pool; everything else answers
-            // inline on the loop.
-            Op::Validate | Op::Classify => {
-                self.earn(done.token());
-                // Stamp the request with the topology epoch it was
-                // admitted under: if a reconfiguration cuts the ring
-                // over while this job queues, it still routes against
-                // the ring that owned its key at admission.
-                let epoch = self.directory.admit();
-                let job = RelayJob::Forward {
-                    line,
-                    id: req.id,
-                    der: req.der,
-                    token: done.token(),
-                    epoch,
-                    done,
-                };
-                enqueue(self, job);
-            }
+            Op::Validate | Op::Classify => self.forward(line, req.id, &req.der, done),
             Op::Metrics => {
-                let job = RelayJob::Metrics {
-                    id: req.id,
-                    format: req.format,
-                    done,
-                };
-                enqueue(self, job);
+                let verb = Blocking::Metrics { format: req.format };
+                self.offload(&self.metrics_jobs, verb, req.id, done);
             }
             Op::Fleet => {
                 // Read-only compute over the aggregator's in-memory
@@ -579,12 +711,7 @@ impl Service for Shared {
                     }
                     _ => unreachable!("non-admin op in admin arm"),
                 };
-                let job = RelayJob::Admin {
-                    op,
-                    id: req.id,
-                    done,
-                };
-                enqueue(self, job);
+                self.offload(&self.admin_jobs, Blocking::Admin(op), req.id, done);
             }
         }
     }
@@ -614,7 +741,7 @@ impl Service for Shared {
     }
 
     fn drain_complete(&self, _open_conns: usize, now_ms: u64) -> bool {
-        // In-flight relays get to finish (their clients are still
+        // In-flight forwards get to finish (their clients are still
         // waiting for the response line), bounded by the shard timeout
         // so a dead upstream cannot wedge the drain.
         let seen = self.drain_seen_ms.load(Ordering::SeqCst);
@@ -622,71 +749,390 @@ impl Service for Shared {
             self.drain_seen_ms.store(now_ms.max(1), Ordering::SeqCst);
             return false;
         }
-        let idle = self.relay.is_empty() && self.relay_inflight.load(Ordering::SeqCst) == 0;
+        let idle = self.relay().forwards.is_empty();
         idle || now_ms.saturating_sub(seen) >= self.config.shard_timeout_ms
+    }
+
+    fn on_attach(&self, io: LoopIo) {
+        self.relay().io = Some(io);
+    }
+
+    fn on_io(&self, token: Token, ready: Readiness) {
+        let now = self.clock.now_ms();
+        let mut relay = self.relay();
+        let r = &mut *relay;
+        let Some(addr) = r.tokens.get(&token).cloned() else {
+            return; // a connection already dropped
+        };
+        let mut replies = Vec::new();
+        let mut broken = false;
+        if ready.readable || ready.closing {
+            let Relay { links, scratch, .. } = &mut *r;
+            let link = links.get_mut(&addr).expect("tokens name live links");
+            if let Some((stream, _)) = &mut link.conn {
+                loop {
+                    match stream.read(scratch) {
+                        Ok(0) => broken = true,
+                        Ok(n) => {
+                            broken = link.wire.received(&scratch[..n], &mut replies).is_err();
+                            if !broken && n == scratch.len() {
+                                continue;
+                            }
+                        }
+                        Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+                        Err(e) if e.kind() == ErrorKind::WouldBlock => {}
+                        Err(_) => broken = true,
+                    }
+                    break;
+                }
+            }
+        }
+        for (at, line) in replies {
+            if r.forwards.contains_key(&at.fwd) {
+                self.stats.relayed.inc();
+                self.finish(r, at.fwd, line);
+            }
+            // Otherwise the forward was already answered (by its hedge,
+            // or refused): this late reply is dropped.
+        }
+        if broken {
+            self.link_down(r, &addr, now);
+        } else {
+            self.pump(r, &addr, now);
+        }
+    }
+
+    fn on_tick(&self, now_ms: u64) {
+        let mut relay = self.relay();
+        let r = &mut *relay;
+        for at in r.timers.advance(now_ms) {
+            self.fail(r, at, Failure::Timeout, now_ms);
+        }
+        // A connection whose oldest frame has gone unanswered for the
+        // whole shard timeout is wedged: drop it, which fails its
+        // attempts over and frees its window for a fresh connection.
+        let timeout = self.config.shard_timeout_ms;
+        let wedged: Vec<String> = r
+            .links
+            .iter()
+            .filter(|(_, l)| {
+                l.wire
+                    .oldest_ms()
+                    .is_some_and(|t| now_ms.saturating_sub(t) >= timeout)
+            })
+            .map(|(addr, _)| addr.clone())
+            .collect();
+        for addr in wedged {
+            self.link_down(r, &addr, now_ms);
+        }
     }
 }
 
-/// Queue a relay job; a full or closed queue is an explicit `502`.
-fn enqueue(shared: &Shared, job: RelayJob) {
-    shared.relay_inflight.fetch_add(1, Ordering::SeqCst);
-    match shared.relay.try_push(job) {
-        Ok(()) => {}
-        Err(PushError::Full(job) | PushError::Closed(job)) => {
-            shared.relay_inflight.fetch_sub(1, Ordering::SeqCst);
-            shared.stats.shed_relay.inc();
-            let (id, done) = match job {
-                RelayJob::Forward {
-                    id, done, epoch, ..
-                } => {
-                    // A shed request leaves the epoch's in-flight set:
-                    // it will never touch a shard, so it must not hold
-                    // an old ring open.
-                    shared.directory.complete(epoch);
-                    (id, done)
-                }
-                RelayJob::Metrics { id, done, .. } | RelayJob::Admin { id, done, .. } => (id, done),
-            };
-            done.fill(protocol::error_line(
-                &id,
+impl Shared {
+    /// Queue a blocking verb on its thread; a full or closed queue is an
+    /// explicit `502`.
+    fn offload(
+        &self,
+        queue: &BoundedQueue<BlockingJob>,
+        verb: Blocking,
+        id: String,
+        done: Completion,
+    ) {
+        if let Err(PushError::Full(job) | PushError::Closed(job)) =
+            queue.try_push(BlockingJob { verb, id, done })
+        {
+            self.stats.shed_relay.inc();
+            job.done.fill(protocol::error_line(
+                &job.id,
                 code::UNAVAILABLE,
                 "router overloaded",
             ));
         }
     }
+
+    /// Admit one `validate`/`classify` frame and send it toward the
+    /// shard that owns its key.
+    fn forward(&self, line: String, id: String, der: &[u8], done: Completion) {
+        self.earn(done.token());
+        // Stamp the request with the topology epoch it was admitted
+        // under, and route against that epoch's ring: during a cutover
+        // the old ring stays addressable until its last in-flight request
+        // completes, so a key admitted before the epoch advanced still
+        // lands on the shard that owned it then (possibly a Draining
+        // shard — up, serving, just closed to fresh keys).
+        let epoch = self.directory.admit();
+        let key = sha256(der);
+        let Some((primary, addr)) = self.directory.route_at(&key, epoch) else {
+            self.stats.refused_no_shard.inc();
+            self.directory.complete(epoch);
+            done.fill(protocol::error_line(
+                &id,
+                code::UNAVAILABLE,
+                "no shard owns this key",
+            ));
+            return;
+        };
+        #[cfg(not(target_os = "linux"))]
+        {
+            let resp = blocking::forward(self, &line, &id, &key, primary, &addr, done.token());
+            self.directory.complete(epoch);
+            done.fill(resp);
+        }
+        #[cfg(target_os = "linux")]
+        {
+            let now = self.clock.now_ms();
+            let mut relay = self.relay();
+            let r = &mut *relay;
+            let fwd = r.next_fwd;
+            r.next_fwd += 1;
+            r.forwards.insert(
+                fwd,
+                Forward {
+                    line,
+                    id,
+                    key,
+                    primary,
+                    epoch,
+                    done,
+                    attempt: 1,
+                    addr: String::new(),
+                    queued: false,
+                },
+            );
+            self.dispatch(r, Attempt { fwd, n: 1 }, addr, now);
+        }
+    }
+
+    /// Put attempt `at` on the link to `addr`: onto the wire if the
+    /// window has room, else into the window queue, else refused.
+    fn dispatch(&self, r: &mut Relay, at: Attempt, addr: String, now: u64) {
+        let f = r
+            .forwards
+            .get_mut(&at.fwd)
+            .expect("dispatching a live forward");
+        f.attempt = at.n;
+        f.addr.clone_from(&addr);
+        let link = r.links.entry(addr.clone()).or_default();
+        if link.waiting.is_empty() && link.wire.in_flight() < WINDOW {
+            self.transmit(r, &addr, at, now);
+            self.flush(r, &addr);
+        } else if r.waiting() < MAX_WAITING {
+            r.links
+                .get_mut(&addr)
+                .expect("link exists")
+                .waiting
+                .push_back(at);
+            r.forwards.get_mut(&at.fwd).expect("live forward").queued = true;
+        } else {
+            self.stats.shed_relay.inc();
+            self.refuse(r, at.fwd, "router overloaded");
+        }
+    }
+
+    /// Move waiting attempts onto the link's wire while its window has
+    /// room, then flush.
+    fn pump(&self, r: &mut Relay, addr: &str, now: u64) {
+        while let Some(link) = r.links.get_mut(addr) {
+            if link.wire.in_flight() >= WINDOW {
+                break;
+            }
+            let Some(at) = link.waiting.pop_front() else {
+                break;
+            };
+            if let Some(f) = r.forwards.get_mut(&at.fwd) {
+                f.queued = false;
+            }
+            self.transmit(r, addr, at, now);
+        }
+        self.flush(r, addr);
+    }
+
+    /// Queue `at`'s frame on its link and start its deadline, opening the
+    /// connection first if there is none. A refused connect fails `at`
+    /// and everything waiting on the link as transport errors.
+    fn transmit(&self, r: &mut Relay, addr: &str, at: Attempt, now: u64) {
+        if r.links[addr].conn.is_none() && !self.connect(r, addr) {
+            let link = r.links.get_mut(addr).expect("link exists");
+            let mut lost: Vec<Attempt> = link.waiting.drain(..).collect();
+            for w in &lost {
+                if let Some(f) = r.forwards.get_mut(&w.fwd) {
+                    f.queued = false;
+                }
+            }
+            lost.insert(0, at);
+            for at in lost {
+                self.fail(r, at, Failure::Transport, now);
+            }
+            r.prune(addr);
+            return;
+        }
+        let Relay {
+            links,
+            forwards,
+            timers,
+            ..
+        } = r;
+        let line = &forwards[&at.fwd].line;
+        links
+            .get_mut(addr)
+            .expect("link exists")
+            .wire
+            .send(line, at, now);
+        // The deadline runs from here, not from admission: a wait for a
+        // window slot is the router's own queueing, not a slow shard.
+        let deadline = if at.n == 1 {
+            self.config.hedge_after_ms
+        } else {
+            self.config.shard_timeout_ms
+        };
+        timers.schedule(now + deadline, at);
+    }
+
+    /// Open the link's connection and put it on the loop.
+    fn connect(&self, r: &mut Relay, addr: &str) -> bool {
+        let Some(io) = &r.io else {
+            return false;
+        };
+        let Ok(sock) = addr.parse::<SocketAddr>() else {
+            return false;
+        };
+        let timeout = Duration::from_millis(self.config.connect_timeout_ms.max(1));
+        let Ok(stream) = TcpStream::connect_timeout(&sock, timeout) else {
+            return false;
+        };
+        let token = r.next_token;
+        if stream.set_nonblocking(true).is_err() || io.register(&stream, token, false).is_err() {
+            return false;
+        }
+        let _ = stream.set_nodelay(true);
+        r.next_token += 1;
+        r.tokens.insert(token, addr.to_string());
+        let link = r.links.get_mut(addr).expect("link exists");
+        link.conn = Some((stream, token));
+        link.want_write = false;
+        true
+    }
+
+    /// Write the link's unsent bytes; watch for output room while some
+    /// remain. A write error just stops writing: the loop reports the
+    /// dead socket as readable, and [`Service::on_io`] drops the link.
+    fn flush(&self, r: &mut Relay, addr: &str) {
+        let Relay { io, links, .. } = r;
+        let Some(Link {
+            conn: Some((stream, token)),
+            wire,
+            want_write,
+            ..
+        }) = links.get_mut(addr)
+        else {
+            return;
+        };
+        while !wire.unsent().is_empty() {
+            match stream.write(wire.unsent()) {
+                Ok(n) if n > 0 => wire.sent(n),
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                _ => break,
+            }
+        }
+        let want = !wire.unsent().is_empty();
+        if want != *want_write {
+            if let Some(io) = io {
+                if io.reregister(stream, *token, want).is_ok() {
+                    *want_write = want;
+                }
+            }
+        }
+    }
+
+    /// The link's connection is gone (EOF, reset, desync or wedged):
+    /// every attempt in flight on it fails over, and anything waiting
+    /// for its window goes out on a fresh connection.
+    fn link_down(&self, r: &mut Relay, addr: &str, now: u64) {
+        let Some(link) = r.links.get_mut(addr) else {
+            return;
+        };
+        if let Some((stream, token)) = link.conn.take() {
+            if let Some(io) = &r.io {
+                io.deregister(&stream);
+            }
+            r.tokens.remove(&token);
+        }
+        link.want_write = false;
+        for at in link.wire.reset() {
+            self.fail(r, at, Failure::Transport, now);
+        }
+        self.pump(r, addr, now);
+        r.prune(addr);
+    }
+
+    /// Attempt `at` will not answer. The first attempt spends a retry
+    /// token on the hedge (timeout) or retry (transport) — to the ring
+    /// successor, which owns the key once the primary is gone, or with a
+    /// single-shard ring the primary again under the full deadline. A
+    /// failed second attempt, or no token, is an explicit `502`.
+    fn fail(&self, r: &mut Relay, at: Attempt, why: Failure, now: u64) {
+        match r.forwards.get(&at.fwd) {
+            Some(f) if f.attempt == at.n => {}
+            _ => return, // answered, or a newer attempt is in charge
+        }
+        r.unqueue(at.fwd);
+        if at.n >= 2 {
+            self.stats.refused_failed.inc();
+            return self.refuse(r, at.fwd, "shard and successor both unavailable");
+        }
+        let f = &r.forwards[&at.fwd];
+        if !self.try_debit(f.done.token()) {
+            self.stats.refused_budget.inc();
+            return self.refuse(r, at.fwd, "retry budget exhausted");
+        }
+        match why {
+            Failure::Timeout => self.stats.hedges.inc(),
+            Failure::Transport => self.stats.retries.inc(),
+        }
+        let (_, addr) = self
+            .directory
+            .route_successor(&f.key, &[f.primary])
+            .unwrap_or_else(|| (f.primary, f.addr.clone()));
+        self.dispatch(r, Attempt { fwd: at.fwd, n: 2 }, addr, now);
+    }
+
+    /// Answer `fwd` with an explicit `502`.
+    fn refuse(&self, r: &mut Relay, fwd: u64, why: &str) {
+        if let Some(f) = r.forwards.get(&fwd) {
+            let line = protocol::error_line(&f.id, code::UNAVAILABLE, why);
+            self.finish(r, fwd, line);
+        }
+    }
+
+    /// Answer the client and release the admission epoch. Any later
+    /// reply or timer for `fwd` finds nothing and is dropped.
+    fn finish(&self, r: &mut Relay, fwd: u64, line: String) {
+        r.unqueue(fwd);
+        if let Some(f) = r.forwards.remove(&fwd) {
+            self.directory.complete(f.epoch);
+            f.done.fill(line);
+        }
+    }
 }
 
-/// One relay worker: blocking forwards and fleet scrapes.
-fn relay_loop(shared: &Arc<Shared>) {
-    while let Some(job) = shared.relay.pop() {
-        match job {
-            RelayJob::Forward {
-                line,
-                id,
-                der,
-                token,
-                epoch,
-                done,
-            } => {
-                let resp = route_and_forward(shared, &line, &id, &der, token, epoch);
-                shared.directory.complete(epoch);
-                done.fill(resp);
-            }
-            RelayJob::Metrics { id, format, done } => {
+/// One blocking-verb thread: runs its queue's jobs in order.
+fn blocking_loop(shared: &Shared, queue: &BoundedQueue<BlockingJob>) {
+    while let Some(BlockingJob { verb, id, done }) = queue.pop() {
+        let resp = match verb {
+            Blocking::Metrics { format } => {
                 let snap = metrics_snapshot(shared);
-                let resp = match format.as_deref() {
+                match format.as_deref() {
                     Some("prometheus") => protocol::response_line(
                         &id,
                         code::OK,
                         &[("exposition", protocol::js(&snap.render_prometheus()))],
                     ),
                     _ => protocol::response_line(&id, code::OK, &[("metrics", snap.render_json())]),
-                };
-                done.fill(resp);
+                }
             }
-            RelayJob::Admin { op, id, done } => {
+            Blocking::Admin(op) => {
                 shared.stats.admin_ops.inc();
-                let resp = match shared.admin.as_ref() {
+                match shared.admin.as_ref() {
                     None => {
                         shared.stats.admin_failures.inc();
                         protocol::error_line(&id, code::UNAVAILABLE, "admin plane unavailable")
@@ -704,110 +1150,89 @@ fn relay_loop(shared: &Arc<Shared>) {
                             protocol::error_line(&id, code::UNAVAILABLE, &msg)
                         }
                     },
-                };
-                done.fill(resp);
+                }
             }
-        }
-        shared.relay_inflight.fetch_sub(1, Ordering::SeqCst);
+        };
+        done.fill(resp);
     }
 }
 
-/// Why a forward attempt failed (picks the hedge vs retry counter).
-enum ForwardError {
-    /// The shard did not answer within the attempt deadline.
-    Timeout,
-    /// Connect failure / reset / EOF — the shard is gone.
-    Transport,
-}
+/// Off Linux there is no poller to pipeline on: each attempt is one
+/// blocking round trip on the client connection's own thread, with the
+/// same hedge/retry, budget and counters as the loop path.
+#[cfg(not(target_os = "linux"))]
+mod blocking {
+    use super::*;
+    use std::io::{BufRead, BufReader};
 
-/// One attempt: connect, send the raw frame, read one response line.
-fn forward(
-    shared: &Shared,
-    addr: &str,
-    line: &str,
-    timeout_ms: u64,
-) -> Result<String, ForwardError> {
-    let sock: SocketAddr = addr.parse().map_err(|_| ForwardError::Transport)?;
-    let connect_timeout = Duration::from_millis(shared.config.connect_timeout_ms.max(1));
-    let io_timeout = Duration::from_millis(timeout_ms.max(1));
-    let mut stream =
-        TcpStream::connect_timeout(&sock, connect_timeout).map_err(|_| ForwardError::Transport)?;
-    let _ = stream.set_nodelay(true);
-    stream
-        .set_read_timeout(Some(io_timeout))
-        .map_err(|_| ForwardError::Transport)?;
-    stream
-        .set_write_timeout(Some(io_timeout))
-        .map_err(|_| ForwardError::Transport)?;
-    stream
-        .write_all(line.as_bytes())
-        .and_then(|()| stream.write_all(b"\n"))
-        .map_err(|_| ForwardError::Transport)?;
-    let mut resp = String::new();
-    match BufReader::new(stream).read_line(&mut resp) {
-        Ok(0) => Err(ForwardError::Transport),
-        Ok(_) => Ok(resp.trim_end().to_string()),
-        Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
-            Err(ForwardError::Timeout)
+    fn round_trip(
+        addr: &str,
+        line: &str,
+        connect_ms: u64,
+        timeout_ms: u64,
+    ) -> Result<String, Failure> {
+        let sock: SocketAddr = addr.parse().map_err(|_| Failure::Transport)?;
+        let connect = Duration::from_millis(connect_ms.max(1));
+        let mut stream =
+            TcpStream::connect_timeout(&sock, connect).map_err(|_| Failure::Transport)?;
+        let io_timeout = Some(Duration::from_millis(timeout_ms.max(1)));
+        stream
+            .set_read_timeout(io_timeout)
+            .and_then(|()| stream.set_write_timeout(io_timeout))
+            .and_then(|()| stream.write_all(format!("{line}\n").as_bytes()))
+            .map_err(|_| Failure::Transport)?;
+        let mut resp = String::new();
+        match BufReader::new(stream).read_line(&mut resp) {
+            Ok(0) => Err(Failure::Transport),
+            Ok(_) => Ok(resp.trim_end().to_string()),
+            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
+                Err(Failure::Timeout)
+            }
+            Err(_) => Err(Failure::Transport),
         }
-        Err(_) => Err(ForwardError::Transport),
     }
-}
 
-fn route_and_forward(
-    shared: &Arc<Shared>,
-    line: &str,
-    id: &str,
-    der: &[u8],
-    token: Token,
-    epoch: u64,
-) -> String {
-    let fingerprint = sha256(der);
-    // Route against the topology epoch the request was admitted under:
-    // during a cutover the old ring stays addressable until its last
-    // in-flight request completes, so a key admitted before the epoch
-    // advanced still lands on the shard that owned it then (possibly a
-    // Draining shard — up, serving, just closed to fresh keys).
-    let Some((primary, addr)) = shared.directory.route_at(&fingerprint, epoch) else {
-        shared.stats.refused_no_shard.inc();
-        return protocol::error_line(id, code::UNAVAILABLE, "no shard owns this key");
-    };
-    match forward(shared, &addr, line, shared.config.hedge_after_ms) {
-        Ok(resp) => {
-            shared.stats.relayed.inc();
-            resp
+    pub(super) fn forward(
+        shared: &Shared,
+        line: &str,
+        id: &str,
+        key: &[u8],
+        primary: u32,
+        addr: &str,
+        token: Token,
+    ) -> String {
+        let c = &shared.config;
+        let why = match round_trip(addr, line, c.connect_timeout_ms, c.hedge_after_ms) {
+            Ok(resp) => {
+                shared.stats.relayed.inc();
+                return resp;
+            }
+            Err(why) => why,
+        };
+        if !shared.try_debit(token) {
+            shared.stats.refused_budget.inc();
+            return protocol::error_line(id, code::UNAVAILABLE, "retry budget exhausted");
         }
-        Err(kind) => {
-            if !shared.try_debit(token) {
-                shared.stats.refused_budget.inc();
-                return protocol::error_line(id, code::UNAVAILABLE, "retry budget exhausted");
+        match why {
+            Failure::Timeout => shared.stats.hedges.inc(),
+            Failure::Transport => shared.stats.retries.inc(),
+        }
+        let (_, next) = shared
+            .directory
+            .route_successor(key, &[primary])
+            .unwrap_or_else(|| (primary, addr.to_string()));
+        match round_trip(&next, line, c.connect_timeout_ms, c.shard_timeout_ms) {
+            Ok(resp) => {
+                shared.stats.relayed.inc();
+                resp
             }
-            match kind {
-                ForwardError::Timeout => shared.stats.hedges.inc(),
-                ForwardError::Transport => shared.stats.retries.inc(),
-            }
-            // The hedge target is the ring successor — exactly the
-            // shard that owns the key once the primary is removed, so
-            // failover routing agrees with post-crash routing. With a
-            // single-shard ring, retry the primary with the full
-            // deadline instead.
-            let (_rid, raddr) = shared
-                .directory
-                .route_successor(&fingerprint, &[primary])
-                .unwrap_or((primary, addr));
-            match forward(shared, &raddr, line, shared.config.shard_timeout_ms) {
-                Ok(resp) => {
-                    shared.stats.relayed.inc();
-                    resp
-                }
-                Err(_) => {
-                    shared.stats.refused_failed.inc();
-                    protocol::error_line(
-                        id,
-                        code::UNAVAILABLE,
-                        "shard and successor both unavailable",
-                    )
-                }
+            Err(_) => {
+                shared.stats.refused_failed.inc();
+                protocol::error_line(
+                    id,
+                    code::UNAVAILABLE,
+                    "shard and successor both unavailable",
+                )
             }
         }
     }

@@ -17,6 +17,7 @@
 
 use std::io;
 use std::os::unix::io::RawFd;
+use std::sync::Arc;
 
 /// Readable (or a peer half-close with `RDHUP`).
 pub const EPOLLIN: u32 = 0x001;
@@ -76,32 +77,39 @@ pub struct Event {
     pub closing: bool,
 }
 
+/// The epoll file descriptor, closed when the last owner drops.
+struct EpollFd(RawFd);
+
+impl Drop for EpollFd {
+    fn drop(&mut self) {
+        // SAFETY: we own the fd.
+        unsafe { close(self.0) };
+    }
+}
+
 /// An epoll instance plus its reusable event buffer.
 pub struct Poller {
-    epfd: RawFd,
+    reg: Registrar,
     buf: Vec<EpollEvent>,
 }
 
-impl Poller {
-    pub fn new() -> io::Result<Poller> {
-        // SAFETY: plain syscall, no pointers.
-        let epfd = unsafe { epoll_create1(EPOLL_CLOEXEC) };
-        if epfd < 0 {
-            return Err(io::Error::last_os_error());
-        }
-        Ok(Poller {
-            epfd,
-            buf: vec![EpollEvent { events: 0, data: 0 }; 1024],
-        })
-    }
+/// A cloneable handle that edits a [`Poller`]'s interest set from
+/// outside the thread that waits on it. It keeps the epoll instance
+/// open while it lives, so a registration can never land on a reused
+/// fd number.
+#[derive(Clone)]
+pub struct Registrar {
+    epfd: Arc<EpollFd>,
+}
 
+impl Registrar {
     fn ctl(&self, op: i32, fd: RawFd, interest: u32, token: u64) -> io::Result<()> {
         let mut ev = EpollEvent {
             events: interest,
             data: token,
         };
         // SAFETY: `ev` outlives the call; the kernel copies it.
-        let rc = unsafe { epoll_ctl(self.epfd, op, fd, &mut ev) };
+        let rc = unsafe { epoll_ctl(self.epfd.0, op, fd, &mut ev) };
         if rc < 0 {
             return Err(io::Error::last_os_error());
         }
@@ -124,6 +132,44 @@ impl Poller {
     pub fn delete(&self, fd: RawFd) -> io::Result<()> {
         self.ctl(EPOLL_CTL_DEL, fd, 0, 0)
     }
+}
+
+impl Poller {
+    pub fn new() -> io::Result<Poller> {
+        // SAFETY: plain syscall, no pointers.
+        let epfd = unsafe { epoll_create1(EPOLL_CLOEXEC) };
+        if epfd < 0 {
+            return Err(io::Error::last_os_error());
+        }
+        Ok(Poller {
+            reg: Registrar {
+                epfd: Arc::new(EpollFd(epfd)),
+            },
+            buf: vec![EpollEvent { events: 0, data: 0 }; 1024],
+        })
+    }
+
+    /// A handle for changing this poller's interest set from elsewhere.
+    pub fn registrar(&self) -> Registrar {
+        self.reg.clone()
+    }
+
+    /// Register `fd` with the given interest mask; `token` comes back in
+    /// every [`Event`] for it.
+    pub fn add(&self, fd: RawFd, interest: u32, token: u64) -> io::Result<()> {
+        self.reg.add(fd, interest, token)
+    }
+
+    /// Change an existing registration's interest mask.
+    pub fn modify(&self, fd: RawFd, interest: u32, token: u64) -> io::Result<()> {
+        self.reg.modify(fd, interest, token)
+    }
+
+    /// Remove a registration (must happen before the fd is closed, or a
+    /// reused fd number inherits the stale interest).
+    pub fn delete(&self, fd: RawFd) -> io::Result<()> {
+        self.reg.delete(fd)
+    }
 
     /// Wait up to `timeout_ms` (`0` polls, `-1` blocks forever) and
     /// append the ready set to `out`. `EINTR` is reported as zero events.
@@ -131,7 +177,7 @@ impl Poller {
         // SAFETY: `buf` is a live, correctly sized array of EpollEvent.
         let n = unsafe {
             epoll_wait(
-                self.epfd,
+                self.reg.epfd.0,
                 self.buf.as_mut_ptr(),
                 self.buf.len() as i32,
                 timeout_ms,
@@ -157,13 +203,6 @@ impl Poller {
             });
         }
         Ok(n)
-    }
-}
-
-impl Drop for Poller {
-    fn drop(&mut self) {
-        // SAFETY: we own the fd.
-        unsafe { close(self.epfd) };
     }
 }
 

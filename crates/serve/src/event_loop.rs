@@ -13,6 +13,12 @@
 //!   `epoll_wait` — a filled response during a busy burst costs a queue
 //!   push and nothing else.
 //!
+//! A service may also put sockets of its own on the loop: at start it is
+//! handed a [`LoopIo`] that registers non-blocking sockets on the loop's
+//! poller, and their readiness comes back through [`Service::on_io`].
+//! The cluster router keeps its upstream shard connections this way, so
+//! a forward never leaves the loop thread.
+//!
 //! Responses stay in request order per connection: every frame gets a
 //! [`ResponseSlot`] pushed onto the connection's pending queue, and the
 //! flusher only writes the contiguous filled prefix. Backpressure is
@@ -232,6 +238,15 @@ impl Completion {
     }
 }
 
+/// Readiness of one socket a [`Service`] registered through [`LoopIo`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Readiness {
+    pub readable: bool,
+    pub writable: bool,
+    /// Error or hang-up: a read reports the details.
+    pub closing: bool,
+}
+
 /// What the daemon plugs into the loop.
 pub trait Service: Send + Sync + 'static {
     /// One complete, non-empty frame. Fill `done` now (inline ops,
@@ -254,6 +269,16 @@ pub trait Service: Send + Sync + 'static {
 
     /// Housekeeping tick from the loop thread.
     fn on_tick(&self, _now_ms: u64) {}
+
+    /// The loop is starting: `io` registers the service's own
+    /// non-blocking sockets on the loop's poller. Called once, before the
+    /// first frame; the non-Linux fallback has no poller and never calls
+    /// it.
+    fn on_attach(&self, _io: LoopIo) {}
+
+    /// Readiness on a socket registered through [`LoopIo`], under the
+    /// token the service chose. Runs on the loop thread.
+    fn on_io(&self, _token: Token, _ready: Readiness) {}
 
     /// Draining: the loop stops accepting (and closes the listener) as
     /// soon as this turns true.
@@ -349,9 +374,9 @@ mod imp {
     use super::*;
     use crate::clock::Clock;
     use crate::timer::TimerWheel;
-    use silentcert_net::epoll::{Poller, WakeFd, EPOLLIN, EPOLLOUT, EPOLLRDHUP};
+    use silentcert_net::epoll::{Poller, Registrar, WakeFd, EPOLLIN, EPOLLOUT, EPOLLRDHUP};
     use std::collections::{HashMap, VecDeque};
-    use std::io::{ErrorKind, Read, Write};
+    use std::io::{self, ErrorKind, Read, Write};
     use std::net::{TcpListener, TcpStream};
     use std::os::unix::io::{AsRawFd, RawFd};
     use std::thread::JoinHandle;
@@ -359,6 +384,9 @@ mod imp {
     const LISTENER: Token = 0;
     const WAKER: Token = 1;
     const FIRST_CONN: Token = 2;
+    /// Marks a registration as the service's own (see [`LoopIo`]): its
+    /// events go to [`Service::on_io`], never to a client connection.
+    const SERVICE_BIT: Token = 1 << 63;
     /// Reads per readiness event before yielding back to the loop
     /// (fairness under a firehose peer).
     const READS_PER_EVENT: usize = 16;
@@ -368,6 +396,40 @@ mod imp {
     const ACCEPT_PAUSE_MS: u64 = 50;
     /// `EMFILE`/`ENFILE`: the process (or system) fd table is full.
     const FD_EXHAUSTED: [i32; 2] = [23, 24];
+
+    /// The loop's poller as lent to its [`Service`] (see
+    /// [`Service::on_attach`]). Service tokens live in their own space:
+    /// any value below `2^63`, independent of client connection tokens.
+    #[derive(Clone)]
+    pub struct LoopIo {
+        registrar: Registrar,
+    }
+
+    impl LoopIo {
+        fn interest(write: bool) -> u32 {
+            EPOLLIN | EPOLLRDHUP | if write { EPOLLOUT } else { 0 }
+        }
+
+        /// Watch non-blocking `stream` for input, and for output room
+        /// when `write` is set.
+        pub fn register(&self, stream: &TcpStream, token: Token, write: bool) -> io::Result<()> {
+            let fd = stream.as_raw_fd();
+            self.registrar
+                .add(fd, Self::interest(write), token | SERVICE_BIT)
+        }
+
+        /// Change whether `stream` is watched for output room.
+        pub fn reregister(&self, stream: &TcpStream, token: Token, write: bool) -> io::Result<()> {
+            let fd = stream.as_raw_fd();
+            self.registrar
+                .modify(fd, Self::interest(write), token | SERVICE_BIT)
+        }
+
+        /// Stop watching `stream` (before it is dropped).
+        pub fn deregister(&self, stream: &TcpStream) {
+            let _ = self.registrar.delete(stream.as_raw_fd());
+        }
+    }
 
     /// A running event loop. Dropping the handle does NOT stop the loop —
     /// raise [`Service::should_stop`] (and [`EventCore::notifier`]
@@ -391,6 +453,9 @@ mod imp {
             let wake = Arc::new(WakeFd::new()?);
             poller.add(listener.as_raw_fd(), EPOLLIN, LISTENER)?;
             poller.add(wake.raw(), EPOLLIN, WAKER)?;
+            service.on_attach(LoopIo {
+                registrar: poller.registrar(),
+            });
             let waker = Arc::clone(&wake);
             let notifier = Notifier::new(Box::new(move || waker.wake()));
             let loop_notifier = notifier.clone();
@@ -606,6 +671,14 @@ mod imp {
                             }
                         }
                     }
+                    token if token & SERVICE_BIT != 0 => service.on_io(
+                        token & !SERVICE_BIT,
+                        Readiness {
+                            readable: ev.readable,
+                            writable: ev.writable,
+                            closing: ev.closing,
+                        },
+                    ),
                     token => {
                         let Some(conn) = conns.get_mut(&token) else {
                             continue;
@@ -838,7 +911,7 @@ mod imp {
 }
 
 #[cfg(target_os = "linux")]
-pub use imp::EventCore;
+pub use imp::{EventCore, LoopIo};
 
 #[cfg(not(target_os = "linux"))]
 mod fallback {
@@ -847,6 +920,25 @@ mod fallback {
     use std::io::{ErrorKind, Read, Write};
     use std::net::{TcpListener, TcpStream};
     use std::thread::JoinHandle;
+
+    /// No poller off Linux: [`Service::on_attach`] is never called, so no
+    /// value of this type exists.
+    #[derive(Clone)]
+    pub enum LoopIo {}
+
+    impl LoopIo {
+        pub fn register(&self, _: &TcpStream, _: Token, _: bool) -> std::io::Result<()> {
+            match *self {}
+        }
+
+        pub fn reregister(&self, _: &TcpStream, _: Token, _: bool) -> std::io::Result<()> {
+            match *self {}
+        }
+
+        pub fn deregister(&self, _: &TcpStream) {
+            match *self {}
+        }
+    }
 
     /// Blocking thread-per-connection stand-in for non-Linux hosts: same
     /// [`Service`] contract, no epoll, no pipelined write-back.
@@ -980,4 +1072,4 @@ mod fallback {
 }
 
 #[cfg(not(target_os = "linux"))]
-pub use fallback::EventCore;
+pub use fallback::{EventCore, LoopIo};

@@ -33,7 +33,8 @@ pub use breaker::{Admission, BreakerConfig, BreakerState, CircuitBreaker};
 pub use cache::ResponseCache;
 pub use clock::{Clock, SystemClock, VirtualClock};
 pub use event_loop::{
-    Completion, CoreConfig, EventCore, LoopStats, Notifier, ResponseSlot, Service, Token,
+    Completion, CoreConfig, EventCore, LoopIo, LoopStats, Notifier, Readiness, ResponseSlot,
+    Service, Token,
 };
 pub use framing::{FrameScanner, Scan};
 pub use journal::{read_journal, replay, Journal, JournalReadout, ReplayReport, PANIC_RESULT};

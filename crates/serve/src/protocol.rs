@@ -142,7 +142,9 @@ pub struct Request {
 }
 
 /// Decode a certificate field: base64 DER (the native form) or hex.
-fn decode_cert_field(s: &str) -> Result<Vec<u8>, &'static str> {
+/// The router hashes a [`fast_scan`]ned `cert` through this to pick a
+/// shard without parsing the rest of the frame.
+pub fn decode_cert_field(s: &str) -> Result<Vec<u8>, &'static str> {
     let looks_hex =
         s.len().is_multiple_of(2) && !s.is_empty() && s.bytes().all(|b| b.is_ascii_hexdigit());
     if looks_hex {
@@ -467,6 +469,7 @@ mod tests {
             let full = parse_request(line).expect("valid frame");
             assert_eq!(fast.op, full.op, "{line}");
             assert_eq!(fast.id, full.id, "{line}");
+            assert_eq!(decode_cert_field(fast.cert), Ok(full.der), "{line}");
             assert!(fast.chain.is_empty(), "{line}");
         }
         // Canonical chained shape: the scan is zero-copy over the text.

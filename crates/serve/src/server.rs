@@ -639,11 +639,16 @@ pub fn start_with_clock(
     let core = EventCore::start(listener, service, core_config, loop_stats, clock)?;
     *shared.loop_notifier.lock().unwrap() = core.notifier();
 
+    // The initial pool is up before `start` returns, so the very first
+    // `health` a client can send already counts every worker.
+    let pool = (0..shared.config.workers.max(1))
+        .map(|n| spawn_worker(&shared, n).map(Some))
+        .collect::<std::io::Result<Vec<_>>>()?;
     let supervisor = {
         let shared = Arc::clone(&shared);
         std::thread::Builder::new()
             .name("serve-supervisor".to_string())
-            .spawn(move || supervise(&shared))?
+            .spawn(move || supervise(&shared, pool))?
     };
     Ok(ServerHandle {
         shared,
@@ -871,31 +876,31 @@ fn execute(job: &Job, shared: &Arc<Shared>) -> (String, Option<Classification>) 
     (line, Some(outcome))
 }
 
-fn spawn_worker(shared: &Arc<Shared>, n: usize) -> JoinHandle<WorkerExit> {
+/// Spawn worker `n`. It counts as alive from before its thread exists,
+/// so `workers_alive` never dips below the pool it reports on.
+fn spawn_worker(shared: &Arc<Shared>, n: usize) -> std::io::Result<JoinHandle<WorkerExit>> {
     shared.workers_alive.fetch_add(1, Ordering::SeqCst);
-    let shared = Arc::clone(shared);
+    let worker = Arc::clone(shared);
     std::thread::Builder::new()
         .name(format!("serve-worker-{n}"))
         .spawn(move || {
-            let exit = worker_loop(&shared);
-            shared.workers_alive.fetch_sub(1, Ordering::SeqCst);
+            let exit = worker_loop(&worker);
+            worker.workers_alive.fetch_sub(1, Ordering::SeqCst);
             exit
         })
-        .expect("spawn worker")
+        .inspect_err(|_| {
+            shared.workers_alive.fetch_sub(1, Ordering::SeqCst);
+        })
 }
 
 /// The supervisor: drives the timer wheel, flushes the journal, restarts
-/// dead workers, and conducts the drain. Once the drain settles it
-/// raises the loop-stop flag and wakes the event loop for its final
-/// flush.
-fn supervise(shared: &Arc<Shared>) -> DrainSummary {
+/// dead workers of `pool` (spawned by [`start`]), and conducts the
+/// drain. Once the drain settles it raises the loop-stop flag and wakes
+/// the event loop for its final flush.
+fn supervise(shared: &Arc<Shared>, mut pool: Vec<Option<JoinHandle<WorkerExit>>>) -> DrainSummary {
     let tick = Duration::from_millis(5);
     let mut rng = StdRng::seed_from_u64(shared.config.seed ^ 0x5e72_317e);
-    let workers = shared.config.workers.max(1);
-    let mut pool: Vec<Option<JoinHandle<WorkerExit>>> = (0..workers)
-        .map(|n| Some(spawn_worker(shared, n)))
-        .collect();
-    let mut consecutive_deaths = vec![0u32; workers];
+    let mut consecutive_deaths = vec![0u32; pool.len()];
     let mut last_flush = shared.now();
     let mut drain_started: Option<u64> = None;
     let mut force_shed = 0u64;
@@ -934,7 +939,7 @@ fn supervise(shared: &Arc<Shared>) -> DrainSummary {
                     let jitter = rng.gen_range(0..=base.max(1));
                     std::thread::sleep(Duration::from_millis(base / 2 + jitter / 2));
                     bump!(shared.stats, worker_restarts);
-                    *handle = Some(spawn_worker(shared, n));
+                    *handle = Some(spawn_worker(shared, n).expect("spawn worker"));
                 }
             }
         }

@@ -420,3 +420,28 @@ fn drain_sheds_backlog_at_deadline_instead_of_hanging() {
     let summary = handle.wait();
     assert!(summary.clean, "empty backlog drains cleanly: {summary:?}");
 }
+
+#[test]
+fn first_health_counts_every_worker() {
+    // `start` returns with the whole pool spawned: a `health` sent the
+    // moment the listener is known must already count every worker.
+    for workers in [1, 3, 4, 2, 8] {
+        let validator = Arc::new(Validator::new(TrustStore::from_roots(Vec::new())));
+        let handle = server::start(
+            ServeConfig {
+                workers,
+                ..ServeConfig::default()
+            },
+            validator,
+        )
+        .expect("bind");
+        let resp = send_line(&handle.addr().to_string(), r#"{"op":"health","id":"h"}"#)
+            .expect("health answered");
+        let alive = silentcert_serve::json::parse(&resp)
+            .ok()
+            .and_then(|v| v.get("workers_alive").and_then(|n| n.as_f64()));
+        assert_eq!(alive, Some(workers as f64), "first health: {resp}");
+        handle.shutdown();
+        assert!(handle.wait().clean);
+    }
+}
