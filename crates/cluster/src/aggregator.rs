@@ -1,43 +1,62 @@
 //! The fleet stats aggregator: the cluster-side host of the
-//! `silentcert_obs::fleet` pipeline (DESIGN.md §16).
+//! `silentcert_obs::fleet` pipeline (DESIGN.md §16), and the cluster's
+//! one shard poller.
 //!
 //! A scraper thread wakes every `interval_ms`, reads the routing
 //! directory, and scatter-gathers one `metrics`/`format:"wire"` round
-//! trip to every addressable shard over
-//! [`silentcert_net::scatter`] — one deadline for the whole round, so a
-//! wedged shard costs the timeout, not the round. Each round lands in
-//! the bounded [`SampleRing`] as one [`FleetSample`]: per-shard wire
-//! snapshots (raw histogram buckets included), the control plane's own
-//! registries (router + supervisor + prober, via the same `base`
-//! closure the router's `metrics` verb merges), the topology epoch, and
-//! a monotonic sample index stamped on the shared [`Clock`] — a
-//! `VirtualClock` in tests makes every downstream number reproducible.
+//! trip to every shard that has an address and may answer (Up, Draining
+//! and Down rows) over [`silentcert_net::scatter`] — one deadline for
+//! the whole round, so a wedged shard costs the timeout, not the round.
 //!
-//! The router answers the `fleet` wire verb from the [`AggregatorHandle`]
-//! (compute is in-memory over the ring: no upstream I/O, so it stays
-//! live while shards are down), and `repro cluster` exports the ring
-//! losslessly on drain for offline post-mortems. [`parse_ring`] is the
-//! other half of that contract: re-reading an exported ring and running
-//! [`compute_view`] reproduces the live verb's numbers exactly.
+//! **Health.** Each round is also the fleet's health check and writes
+//! its verdicts to the directory ([`Directory::apply_verdict`] lands one
+//! only on the generation and address it was measured on): an Up shard
+//! silent for [`FAIL_THRESHOLD`] consecutive rounds within one
+//! generation is marked Down (out of the ring; the process may be alive
+//! but wedged), and a Down shard that answers one round is reinstated.
+//! Starting, Draining and Ejected rows get no verdict: the supervisor
+//! owns them. The handle counts verdicts by shard in
+//! `silentcert_cluster_{probe_failures,probe_marked_down,reinstatements}_total`.
+//!
+//! Each round lands in the bounded [`SampleRing`] as one
+//! [`FleetSample`]: per-shard wire snapshots (raw histogram buckets
+//! included), the control plane's `control` snapshot (the caller's
+//! `base` — in `repro cluster` the supervisor's lifecycle series — plus
+//! the verdict counters), the topology epoch, and a monotonic sample
+//! index stamped on the shared [`Clock`] — a `VirtualClock` in tests
+//! makes every downstream number reproducible.
+//!
+//! The router answers the `fleet` and `metrics` wire verbs from the
+//! [`AggregatorHandle`] (compute is in-memory over the ring: no upstream
+//! I/O, so both stay live while shards are down), and `repro cluster`
+//! exports the ring losslessly on drain for offline post-mortems.
+//! [`parse_ring`] is the other half of that contract: re-reading an
+//! exported ring and running [`compute_view`] reproduces the live verb's
+//! numbers exactly.
 
-use crate::directory::{Directory, ShardHealth};
+use crate::directory::{Directory, ShardHealth, ShardView};
 use crate::router::MetricsBase;
 use silentcert_net::scatter::{scatter_lines, ScatterTarget};
 use silentcert_obs::fleet::{
     compute_view, export_ring, BurnWindow, FleetSample, FleetView, SampleRing, ShardSample,
     SloConfig,
 };
-use silentcert_obs::metrics::{HistogramSnapshot, SeriesValue, Snapshot, NUM_BUCKETS};
+use silentcert_obs::metrics::{HistogramSnapshot, Registry, SeriesValue, Snapshot, NUM_BUCKETS};
 use silentcert_obs::Clock;
 use silentcert_serve::json::{self, Value};
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 
+/// Consecutive silent rounds, within one shard generation, that mark an
+/// Up shard Down.
+pub const FAIL_THRESHOLD: u32 = 3;
+
 /// Aggregator tuning.
 #[derive(Debug, Clone)]
 pub struct AggregatorConfig {
-    /// Scrape cadence.
+    /// Scrape cadence, and so the health-check cadence.
     pub interval_ms: u64,
     /// Rounds retained: the ring covers `interval_ms × ring_capacity`
     /// of history (the default pairing covers two minutes).
@@ -61,11 +80,15 @@ impl Default for AggregatorConfig {
 struct State {
     ring: Mutex<SampleRing>,
     slo: SloConfig,
+    /// Health-verdict counters.
+    verdicts: Registry,
+    /// Shard id → (generation, consecutive silent rounds as Up on it).
+    streaks: Mutex<BTreeMap<u32, (u64, u32)>>,
 }
 
 /// Shared, cheaply clonable read/compute handle over the ring. The
-/// router holds one to answer the `fleet` verb; `repro cluster` holds
-/// one for the drain-time ring export.
+/// router holds one to answer the `fleet` and `metrics` verbs; `repro
+/// cluster` holds one for the drain-time ring export.
 #[derive(Clone)]
 pub struct AggregatorHandle {
     state: Arc<State>,
@@ -77,8 +100,33 @@ impl AggregatorHandle {
             state: Arc::new(State {
                 ring: Mutex::new(SampleRing::new(ring_capacity)),
                 slo,
+                verdicts: Registry::new(),
+                streaks: Mutex::new(BTreeMap::new()),
             }),
         }
+    }
+
+    /// The health-verdict counters.
+    pub fn verdicts(&self) -> Snapshot {
+        self.state.verdicts.snapshot()
+    }
+
+    /// The fleet half of the router's `metrics` reply, from memory: the
+    /// verdict counters, plus every shard's series from the newest round
+    /// with a `shard` label and `silentcert_fleet_scrape_ok{shard}` (1 if
+    /// it answered that round, else 0).
+    pub fn metrics(&self) -> Snapshot {
+        let mut snap = self.verdicts();
+        let ring = self.state.ring.lock().expect("a scrape round panicked");
+        for s in ring.latest().map_or(&[][..], |round| &round.shards) {
+            let id = s.shard.to_string();
+            snap.set_gauge(
+                &format!("silentcert_fleet_scrape_ok{{shard=\"{id}\"}}"),
+                i64::from(s.ok),
+            );
+            snap.merge(&s.snapshot.labeled("shard", &id));
+        }
+        snap
     }
 
     /// Compute the aggregated view from the current ring.
@@ -98,9 +146,10 @@ impl AggregatorHandle {
         self.state.ring.lock().unwrap().len()
     }
 
-    /// Execute one scrape round now and push it into the ring. Returns
-    /// the assigned sample index. Called by the scraper thread on its
-    /// cadence, and directly by tests driving a `VirtualClock`.
+    /// Execute one scrape round now, apply its health verdicts, and push
+    /// it into the ring. Returns the assigned sample index. Called by the
+    /// scraper thread on its cadence, and directly by tests driving a
+    /// `VirtualClock`.
     pub fn scrape_round(
         &self,
         directory: &Directory,
@@ -110,13 +159,17 @@ impl AggregatorHandle {
     ) -> u64 {
         let views = directory.snapshot();
         let epoch = directory.topology_epoch();
-        // Scrape every shard that has an address and is expected to
-        // answer; Down/Ejected/Starting rows are kept (the TUI shows
-        // them) with `ok: false` and an empty snapshot.
+        // Scrape every shard that has an address and may answer: Down
+        // rows too, since an answer is how one comes back. Starting and
+        // Ejected rows are kept (the TUI shows them) with `ok: false` and
+        // an empty snapshot.
         let mut targets = Vec::new();
         let mut target_of = Vec::new(); // index into `views` per target
         for (i, v) in views.iter().enumerate() {
-            let scrapable = matches!(v.health, ShardHealth::Up | ShardHealth::Draining);
+            let scrapable = matches!(
+                v.health,
+                ShardHealth::Up | ShardHealth::Draining | ShardHealth::Down
+            );
             if let (true, Some(addr)) = (scrapable, &v.addr) {
                 targets.push(ScatterTarget {
                     addr: addr.clone(),
@@ -131,6 +184,9 @@ impl AggregatorHandle {
         for (t, resp) in responses.into_iter().enumerate() {
             scraped[target_of[t]] = resp.and_then(|line| parse_wire_response(&line));
         }
+        for (v, snap) in views.iter().zip(&scraped) {
+            self.judge(directory, v, snap.is_some());
+        }
         let shards = views
             .iter()
             .zip(scraped)
@@ -142,9 +198,47 @@ impl AggregatorHandle {
                 snapshot: snap.unwrap_or_default(),
             })
             .collect();
-        let control = base.map(|b| b()).unwrap_or_default();
+        let mut control = base.map(|b| b()).unwrap_or_default();
+        control.merge(&self.verdicts());
         let mut ring = self.state.ring.lock().unwrap();
         ring.push(now_ms, epoch, shards, control)
+    }
+
+    /// Apply one round's health verdict to `row`.
+    fn judge(&self, directory: &Directory, row: &ShardView, answered: bool) {
+        let shard = row.id.to_string();
+        let count = |name: &str| {
+            self.state
+                .verdicts
+                .counter_with(name, &[("shard", &shard)])
+                .inc();
+        };
+        let mut streaks = self.state.streaks.lock().expect("a scrape round panicked");
+        match (row.health, answered) {
+            (ShardHealth::Up, false) => {
+                count("silentcert_cluster_probe_failures_total");
+                let silent = match streaks.get(&row.id) {
+                    Some(&(generation, n)) if generation == row.generation => n + 1,
+                    _ => 1, // a restart starts a fresh streak
+                };
+                streaks.insert(row.id, (row.generation, silent));
+                if silent >= FAIL_THRESHOLD && directory.apply_verdict(row, false) {
+                    streaks.remove(&row.id);
+                    count("silentcert_cluster_probe_marked_down_total");
+                }
+            }
+            (ShardHealth::Down, true) => {
+                streaks.remove(&row.id);
+                if directory.apply_verdict(row, true) {
+                    count("silentcert_cluster_reinstatements_total");
+                }
+            }
+            // An answering Up shard ends its streak; Starting, Draining
+            // and Ejected rows get no verdict.
+            _ => {
+                streaks.remove(&row.id);
+            }
+        }
     }
 }
 
@@ -156,9 +250,10 @@ pub struct Aggregator {
 }
 
 impl Aggregator {
-    /// Spawn the scraper thread. `base` is the same merged
-    /// router+supervisor snapshot closure the router's `metrics` verb
-    /// uses, so control-plane series ride every sample.
+    /// Spawn the scraper thread. `base` is the same control-plane
+    /// snapshot closure the router's `metrics` verb merges (the
+    /// supervisor's lifecycle series), so those series ride every
+    /// sample.
     pub fn start(
         config: AggregatorConfig,
         directory: Arc<Directory>,
@@ -343,7 +438,143 @@ pub fn parse_ring(text: &str) -> Result<(SloConfig, SampleRing), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use silentcert_obs::metrics::Registry;
+    use std::io::{BufRead, BufReader, Write};
+    use std::net::TcpListener;
+
+    const FAILURES: &str = "silentcert_cluster_probe_failures_total";
+    const MARKED_DOWN: &str = "silentcert_cluster_probe_marked_down_total";
+    const REINSTATED: &str = "silentcert_cluster_reinstatements_total";
+    /// Scrape deadline for the verdict tests: a silent shard costs this.
+    const TIMEOUT_MS: u64 = 200;
+
+    /// A stand-in shard: answers every line with an empty wire snapshot
+    /// while `answering` is set, and otherwise holds the connection open
+    /// without a word.
+    struct StubShard {
+        addr: String,
+        answering: Arc<AtomicBool>,
+    }
+
+    impl StubShard {
+        fn start(answering: bool) -> StubShard {
+            let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+            let addr = listener.local_addr().unwrap().to_string();
+            let answering = Arc::new(AtomicBool::new(answering));
+            let flag = Arc::clone(&answering);
+            std::thread::spawn(move || {
+                for stream in listener.incoming() {
+                    let Ok(mut stream) = stream else { return };
+                    let flag = Arc::clone(&flag);
+                    std::thread::spawn(move || {
+                        let mut reader = BufReader::new(stream.try_clone().unwrap());
+                        let mut line = String::new();
+                        while reader.read_line(&mut line).is_ok_and(|n| n > 0) {
+                            if flag.load(Ordering::SeqCst) {
+                                let _ = stream.write_all(b"{\"code\":200,\"metrics\":{}}\n");
+                            }
+                            line.clear();
+                        }
+                    });
+                }
+            });
+            StubShard { addr, answering }
+        }
+    }
+
+    fn health(d: &Directory, shard: u32) -> ShardHealth {
+        d.snapshot().iter().find(|v| v.id == shard).unwrap().health
+    }
+
+    fn count(h: &AggregatorHandle, name: &str, shard: u32) -> u64 {
+        h.verdicts()
+            .counter_value(&format!("{name}{{shard=\"{shard}\"}}"))
+            .unwrap_or(0)
+    }
+
+    #[test]
+    fn a_silent_up_shard_is_down_after_three_rounds_and_back_after_one_answer() {
+        let live = StubShard::start(true);
+        let silent = StubShard::start(false);
+        let d = Directory::new(64);
+        d.set_up(0, &live.addr, 1);
+        d.set_up(1, &silent.addr, 1);
+        let keys: Vec<Vec<u8>> = (0..200)
+            .map(|i| format!("k{i}").into_bytes())
+            .filter(|k| d.route(k).unwrap().0 == 1)
+            .collect();
+        assert!(!keys.is_empty());
+        let h = AggregatorHandle::new(SloConfig::default(), 16);
+
+        for now in [0, 500] {
+            h.scrape_round(&d, None, TIMEOUT_MS, now);
+            assert_eq!(health(&d, 1), ShardHealth::Up, "down before 3 rounds");
+        }
+        h.scrape_round(&d, None, TIMEOUT_MS, 1_000);
+        assert_eq!(health(&d, 1), ShardHealth::Down);
+        assert_eq!(health(&d, 0), ShardHealth::Up);
+        assert!(keys.iter().all(|k| d.route(k).unwrap().0 == 0));
+        assert_eq!((count(&h, FAILURES, 1), count(&h, MARKED_DOWN, 1)), (3, 1));
+        assert_eq!(count(&h, FAILURES, 0), 0);
+        let control = h
+            .state
+            .ring
+            .lock()
+            .unwrap()
+            .latest()
+            .unwrap()
+            .control
+            .clone();
+        assert_eq!(control, h.verdicts(), "the round's control carries them");
+
+        // One answered round reinstates the shard, and routing uses it.
+        silent.answering.store(true, Ordering::SeqCst);
+        h.scrape_round(&d, None, TIMEOUT_MS, 1_500);
+        assert_eq!(health(&d, 1), ShardHealth::Up);
+        assert!(keys.iter().all(|k| d.route(k).unwrap().0 == 1));
+        assert_eq!(count(&h, REINSTATED, 1), 1);
+        assert_eq!((count(&h, FAILURES, 1), count(&h, MARKED_DOWN, 1)), (3, 1));
+    }
+
+    #[test]
+    fn a_silent_draining_shard_is_never_marked_down() {
+        let live = StubShard::start(true);
+        let silent = StubShard::start(false);
+        let d = Directory::new(64);
+        d.set_up(0, &live.addr, 1);
+        d.set_up(1, &silent.addr, 1);
+        d.begin_drain(1).unwrap();
+        let h = AggregatorHandle::new(SloConfig::default(), 16);
+        for round in 0..=u64::from(FAIL_THRESHOLD) {
+            h.scrape_round(&d, None, TIMEOUT_MS, round * 500);
+        }
+        assert_eq!(health(&d, 1), ShardHealth::Draining);
+        assert_eq!((count(&h, FAILURES, 1), count(&h, MARKED_DOWN, 1)), (0, 0));
+    }
+
+    #[test]
+    fn a_restart_between_rounds_starts_a_fresh_streak() {
+        let silent = StubShard::start(false);
+        let d = Directory::new(64);
+        d.set_up(0, &silent.addr, 1);
+        let h = AggregatorHandle::new(SloConfig::default(), 16);
+        let mut now = 0;
+        let mut round = || {
+            h.scrape_round(&d, None, TIMEOUT_MS, now);
+            now += 500;
+        };
+        round();
+        round();
+        // The supervisor restarts the shard between two rounds.
+        d.set_down(0);
+        d.set_starting(0);
+        d.set_up(0, &silent.addr, 2);
+        round();
+        round();
+        assert_eq!(health(&d, 0), ShardHealth::Up, "the streak carried over");
+        round();
+        assert_eq!(health(&d, 0), ShardHealth::Down);
+        assert_eq!((count(&h, FAILURES, 0), count(&h, MARKED_DOWN, 0)), (5, 1));
+    }
 
     fn busy_snapshot(ok: u64, lat: &[u64]) -> Snapshot {
         let r = Registry::new();

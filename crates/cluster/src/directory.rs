@@ -2,20 +2,22 @@
 //!
 //! A [`Directory`] is the single source of truth for "who owns this key
 //! right now". The supervisor writes lifecycle transitions (spawned,
-//! up, crashed, ejected), the health prober writes probe verdicts, and
-//! every router connection thread reads it per request. All state sits
-//! behind one mutex — membership changes are rare (crashes, restarts)
-//! and lookups are a binary search, so contention is negligible next to
-//! the TCP round trip each lookup precedes.
+//! up, crashed, ejected), the fleet aggregator's scrape round writes
+//! health verdicts ([`Directory::apply_verdict`]), and the router reads
+//! it per request. All state sits behind one mutex — membership changes
+//! are rare (crashes, restarts) and lookups are a binary search, so
+//! contention is negligible next to the TCP round trip each lookup
+//! precedes.
 //!
 //! Since the live-reconfiguration work (DESIGN.md §15) the directory
 //! holds an [`EpochRing`] rather than a bare ring, and distinguishes
 //! two kinds of membership change:
 //!
 //! * **Crash-path** transitions (`set_down`, `set_starting`, `set_up`
-//!   for a restarted shard, `eject`) mutate the current ring in place.
-//!   The ring's minimal-movement and byte-identical-restore properties
-//!   make failover routing self-consistent without any epoch machinery.
+//!   for a restarted shard, `eject`, a health verdict) mutate the
+//!   current ring in place. The ring's minimal-movement and
+//!   byte-identical-restore properties make failover routing
+//!   self-consistent without any epoch machinery.
 //! * **Administrative** transitions (`begin_drain`, a `set_up` that
 //!   completes an [`expect_join`]) are epoch *cutovers*: the old ring
 //!   is retained to finish routing requests admitted before the change
@@ -46,7 +48,8 @@ pub enum ShardHealth {
     /// fresh keys) but still addressable for in-flight keys routed via
     /// the previous epoch's ring.
     Draining,
-    /// Crashed or failing probes: out of the ring, restart possible.
+    /// Crashed or failing health checks: out of the ring, restart
+    /// possible.
     Down,
     /// Restart budget spent: out of the ring permanently.
     Ejected,
@@ -164,7 +167,7 @@ impl Directory {
         }
     }
 
-    /// The shard crashed or failed probes: unroutable until restarted.
+    /// The shard crashed or exited: unroutable until restarted.
     pub fn set_down(&self, shard: u32) {
         let mut g = self.inner.lock().unwrap();
         if let Some(e) = g.shards.get_mut(&shard) {
@@ -184,6 +187,35 @@ impl Directory {
             }
         }
         g.ring.bootstrap(|r| r.remove(shard));
+    }
+
+    /// Apply a health verdict measured on `row`, a [`Directory::snapshot`]
+    /// row: an Up shard that failed its checks goes Down, a Down shard
+    /// that answered is reinstated in place. The verdict lands only if the
+    /// shard still has the health, generation and address it was measured
+    /// on — a restart in between makes it stale. A pending
+    /// [`expect_join`](Directory::expect_join) stays pending: the join is
+    /// the supervisor's `set_up`. Returns whether the shard changed.
+    pub fn apply_verdict(&self, row: &ShardView, healthy: bool) -> bool {
+        let mut g = self.inner.lock().expect("a directory update panicked");
+        let Some(e) = g.shards.get_mut(&row.id) else {
+            return false;
+        };
+        if e.health != row.health || e.generation != row.generation || e.addr != row.addr {
+            return false;
+        }
+        match (row.health, healthy) {
+            (ShardHealth::Up, false) => {
+                e.health = ShardHealth::Down;
+                g.ring.bootstrap(|r| r.remove(row.id));
+            }
+            (ShardHealth::Down, true) => {
+                e.health = ShardHealth::Up;
+                g.ring.bootstrap(|r| r.insert(row.id));
+            }
+            _ => return false,
+        }
+        true
     }
 
     /// Permanently remove the shard (restart budget spent).
@@ -336,16 +368,6 @@ impl Directory {
             .count();
         (up, g.shards.len())
     }
-
-    /// Addresses of every Up shard (fleet scrape targets).
-    pub fn up_shards(&self) -> Vec<(u32, String)> {
-        let g = self.inner.lock().unwrap();
-        g.shards
-            .iter()
-            .filter(|(_, e)| e.health == ShardHealth::Up)
-            .filter_map(|(&id, e)| e.addr.clone().map(|a| (id, a)))
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -367,6 +389,49 @@ mod tests {
         // Restart restores the original assignment (ring restore).
         d.set_up(primary, "127.0.0.1:2000", 2);
         assert_eq!(d.route(b"k").unwrap().0, primary);
+    }
+
+    #[test]
+    fn a_verdict_lands_only_on_the_generation_it_was_measured_on() {
+        let d = Directory::new(16);
+        d.set_up(0, "127.0.0.1:1000", 1);
+        d.set_up(1, "127.0.0.1:1001", 1);
+        let up_gen1 = d.snapshot()[0].clone();
+        d.set_down(0);
+        let down_gen1 = d.snapshot()[0].clone();
+        // The supervisor restarts the shard on a new address.
+        d.set_starting(0);
+        d.set_up(0, "127.0.0.1:2000", 2);
+        let keys: Vec<u32> = (0..64)
+            .map(|i| d.route(format!("k{i}").as_bytes()).unwrap().0)
+            .collect();
+        assert!(!d.apply_verdict(&up_gen1, false), "stale Down verdict");
+        assert!(!d.apply_verdict(&down_gen1, true), "stale reinstatement");
+        let row = d.snapshot()[0].clone();
+        assert_eq!(
+            (row.health, row.generation, row.addr.as_deref()),
+            (ShardHealth::Up, 2, Some("127.0.0.1:2000"))
+        );
+        for (i, owner) in keys.iter().enumerate() {
+            assert_eq!(d.route(format!("k{i}").as_bytes()).unwrap().0, *owner);
+        }
+        // A verdict on the current row lands, both ways.
+        assert!(d.apply_verdict(&row, false));
+        assert_eq!(d.snapshot()[0].health, ShardHealth::Down);
+        assert!(d.apply_verdict(&d.snapshot()[0].clone(), true));
+        assert_eq!(d.snapshot()[0].health, ShardHealth::Up);
+    }
+
+    #[test]
+    fn a_reinstatement_leaves_a_pending_join_pending() {
+        let d = Directory::new(16);
+        d.set_up(0, "127.0.0.1:1000", 1);
+        d.set_down(0);
+        d.expect_join(0);
+        assert!(d.apply_verdict(&d.snapshot()[0].clone(), true));
+        assert_eq!(d.topology_epoch(), 0, "a reinstatement is no cutover");
+        d.set_up(0, "127.0.0.1:2000", 2);
+        assert_eq!(d.topology_epoch(), 1, "the join is still a cutover");
     }
 
     #[test]

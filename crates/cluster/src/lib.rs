@@ -10,7 +10,8 @@
 //!
 //! * [`directory`] — the shared routing view: a consistent-hash
 //!   [`silentcert_net::Ring`] plus per-shard health and address. The
-//!   supervisor and health prober write it; the router only reads it.
+//!   supervisor and the aggregator's health verdicts write it; the
+//!   router only reads it.
 //! * [`shard`] — how one shard process is launched: piped stdout, a
 //!   `LISTENING <addr>` handshake line, and a drainer thread that turns
 //!   child stdout EOF into a crash signal.
@@ -18,9 +19,6 @@
 //!   restarts with exponential backoff and jitter, permanently ejects a
 //!   shard once its consecutive-crash budget is spent, and conducts the
 //!   SIGTERM fleet drain.
-//! * [`health`] — the out-of-band prober: `health` round trips to every
-//!   Up shard; consecutive failures eject the shard from the ring (the
-//!   process may still be alive but wedged), recovery reinstates it.
 //! * [`router`] — the client-facing front: speaks the same
 //!   newline-delimited JSON protocol as a single shard, forwards
 //!   `validate`/`classify` by fingerprint, applies a per-client retry
@@ -31,15 +29,18 @@
 //! * `upstream` — one such shard connection as a sans-io state
 //!   machine: an out buffer, a reply-line scanner, and the FIFO that
 //!   pairs each reply with the request it answers.
-//! * [`fleet`] — point-in-time fleet observability: scrapes every
-//!   shard's `stats` verb into `silentcert_fleet_*{shard="i"}` series
-//!   merged with the supervisor's and router's own registries.
-//! * [`aggregator`] — the time-windowed stats pipeline (DESIGN.md §16):
-//!   a scraper thread scatter-gathers full wire snapshots from every
-//!   shard into a bounded [`silentcert_obs::fleet::SampleRing`], from
-//!   which the router's `fleet` verb serves rates, fleet quantiles, and
-//!   multi-window error-budget burn — and which `repro cluster` exports
-//!   losslessly on drain for exact offline recomputation.
+//! * [`aggregator`] — the cluster's one shard poller and its
+//!   time-windowed stats pipeline (DESIGN.md §16): a scraper thread
+//!   scatter-gathers full wire snapshots from every shard into a bounded
+//!   [`silentcert_obs::fleet::SampleRing`]. Each round doubles as the
+//!   fleet's health check: a shard silent for
+//!   [`aggregator::FAIL_THRESHOLD`] rounds leaves the ring (the process
+//!   may still be alive but wedged), and one that answers again is
+//!   reinstated. From the ring the router's `fleet` verb serves rates,
+//!   fleet quantiles, and multi-window error-budget burn, and its
+//!   `metrics` verb serves each shard's newest series — and `repro
+//!   cluster` exports the ring losslessly on drain for exact offline
+//!   recomputation.
 //!
 //! The cluster's accounting invariant — **journaled-or-refused** — is
 //! what the chaos test proves end to end: every request a client saw
@@ -52,8 +53,6 @@
 
 pub mod aggregator;
 pub mod directory;
-pub mod fleet;
-pub mod health;
 pub mod router;
 pub mod shard;
 pub mod supervisor;
@@ -63,7 +62,6 @@ pub use aggregator::{
     parse_ring, snapshot_from_wire, Aggregator, AggregatorConfig, AggregatorHandle,
 };
 pub use directory::{Directory, ShardHealth};
-pub use health::{start_prober, ProberConfig};
 pub use router::{AdminFn, Router, RouterConfig, RouterSummary};
 pub use shard::ShardSpec;
 pub use supervisor::{

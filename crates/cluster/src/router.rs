@@ -2,8 +2,8 @@
 //!
 //! Speaks exactly the shard protocol (newline-delimited JSON), so a
 //! client cannot tell a cluster from a single daemon — except that the
-//! cluster answers `health`/`stats`/`metrics` with fleet-wide views
-//! and may answer `502` where a single shard would block or die.
+//! cluster answers `health`/`stats`/`metrics`/`fleet` with fleet-wide
+//! views and may answer `502` where a single shard would block or die.
 //!
 //! Per request the router:
 //!
@@ -39,13 +39,15 @@
 //! retry deadlines are entries on a router-owned timer wheel advanced by
 //! the loop tick. At most [`WINDOW`] forwards are outstanding per shard;
 //! up to [`MAX_WAITING`] more wait on the loop, and beyond that a request
-//! is an explicit `502`, never an unbounded backlog. The two verbs that
-//! block — the fleet `metrics` scrape and the admin plane — each run on
-//! one small thread of their own, so neither can delay a forward.
+//! is an explicit `502`, never an unbounded backlog. `metrics` and `fleet`
+//! answer on the loop from memory: the router's own registry, the
+//! supervisor's series, and the fleet aggregator's newest scrape round
+//! (which also decides shard health; see [`crate::aggregator`]). The one
+//! verb that blocks, the admin plane, runs on a small thread of its own
+//! so it cannot delay a forward.
 
 use crate::aggregator::AggregatorHandle;
 use crate::directory::Directory;
-use crate::fleet;
 use crate::supervisor::{AdminOp, AdminResult};
 use crate::upstream::Upstream;
 use silentcert_crypto::sha256;
@@ -73,8 +75,8 @@ pub const WINDOW: usize = 16;
 /// Beyond this a request is refused `502 router overloaded`.
 pub const MAX_WAITING: usize = 1_024;
 
-/// Queue depth of each blocking verb's thread (`metrics`, admin).
-const BLOCKING_QUEUE: usize = 64;
+/// Admin verbs waiting for the admin thread.
+const ADMIN_QUEUE: usize = 64;
 
 /// The forward timer wheel: 5 ms buckets, one rotation per 5.12 s.
 const TIMER_TICK_MS: u64 = 5;
@@ -89,8 +91,8 @@ pub type KillFn = Arc<dyn Fn(Option<u32>) -> Option<u32> + Send + Sync>;
 /// [`crate::Supervisor::admin_fn`]).
 pub type AdminFn = Arc<dyn Fn(AdminOp) -> AdminResult + Send + Sync>;
 
-/// Supplies the non-router half of the `metrics` exposition (the
-/// supervisor's lifecycle counters).
+/// Supplies the control-plane half of the `metrics` exposition (the
+/// supervisor's lifecycle series).
 pub type MetricsBase = Arc<dyn Fn() -> Snapshot + Send + Sync>;
 
 #[derive(Debug, Clone)]
@@ -113,8 +115,6 @@ pub struct RouterConfig {
     pub retry_burst: f64,
     /// Retry tokens earned per forwarded request (capped at burst).
     pub retry_ratio: f64,
-    /// Shard `stats` scrape deadline for fleet metrics.
-    pub scrape_timeout_ms: u64,
     /// Honour `chaos_kill_shard` frames.
     pub enable_chaos_ops: bool,
     /// Honour the admin plane (`add_shard`, `remove_shard`,
@@ -134,14 +134,13 @@ impl Default for RouterConfig {
             max_frame_bytes: 1 << 20,
             retry_burst: 8.0,
             retry_ratio: 0.1,
-            scrape_timeout_ms: 1_000,
             enable_chaos_ops: false,
             enable_admin_ops: false,
         }
     }
 }
 
-/// The router's own counters (fleet series come from the scraper).
+/// The router's own counters (fleet series come from the aggregator).
 struct Stats {
     requests: Arc<Counter>,
     relayed: Arc<Counter>,
@@ -181,19 +180,11 @@ impl Stats {
     }
 }
 
-/// A verb that blocks, run on a thread of its own so it never delays a
-/// forward.
-enum Blocking {
-    /// Fleet metrics: a `stats` scrape of every shard (up to the scrape
-    /// timeout each).
-    Metrics { format: Option<String> },
-    /// Admin verb: waits on the supervisor until the fleet reaches the
-    /// requested topology (seconds to minutes for a rolling restart).
-    Admin(AdminOp),
-}
-
-struct BlockingJob {
-    verb: Blocking,
+/// An admin verb queued for the admin thread: it waits on the
+/// supervisor until the fleet reaches the requested topology (seconds to
+/// minutes for a rolling restart).
+struct AdminJob {
+    op: AdminOp,
     id: String,
     done: Completion,
 }
@@ -320,15 +311,15 @@ struct Shared {
     kill: Option<KillFn>,
     admin: Option<AdminFn>,
     base: Option<MetricsBase>,
-    /// The fleet stats aggregator's read handle; `Op::Fleet` answers
-    /// from its in-memory ring (no upstream I/O, so it stays inline).
+    /// The fleet stats aggregator's read handle; `fleet` and `metrics`
+    /// answer from its in-memory ring (no upstream I/O, so both stay
+    /// inline).
     fleet: Option<AggregatorHandle>,
     registry: Registry,
     stats: Stats,
     clock: Arc<dyn Clock>,
     relay: Mutex<Relay>,
-    metrics_jobs: BoundedQueue<BlockingJob>,
-    admin_jobs: BoundedQueue<BlockingJob>,
+    admin_jobs: BoundedQueue<AdminJob>,
     /// Per-client-connection retry token buckets, keyed by loop token.
     buckets: Mutex<HashMap<Token, f64>>,
     draining: AtomicBool,
@@ -382,8 +373,7 @@ pub struct Router {
     shared: Arc<Shared>,
     addr: SocketAddr,
     core: Option<EventCore>,
-    /// The `metrics` and admin threads.
-    blocking: Vec<JoinHandle<()>>,
+    admin_thread: Option<JoinHandle<()>>,
 }
 
 impl Router {
@@ -409,8 +399,7 @@ impl Router {
         let clock: Arc<dyn Clock> = Arc::new(SystemClock::new());
         let shared = Arc::new(Shared {
             relay: Mutex::new(Relay::new(clock.now_ms())),
-            metrics_jobs: BoundedQueue::new(BLOCKING_QUEUE),
-            admin_jobs: BoundedQueue::new(BLOCKING_QUEUE),
+            admin_jobs: BoundedQueue::new(ADMIN_QUEUE),
             clock: Arc::clone(&clock),
             buckets: Mutex::new(HashMap::new()),
             config,
@@ -424,23 +413,19 @@ impl Router {
             draining: AtomicBool::new(false),
             drain_seen_ms: AtomicU64::new(0),
         });
-        let spawn = |name: &str, queue: fn(&Shared) -> &BoundedQueue<BlockingJob>| {
+        let admin_thread = {
             let shared = Arc::clone(&shared);
             std::thread::Builder::new()
-                .name(name.to_string())
-                .spawn(move || blocking_loop(&shared, queue(&shared)))
+                .name("router-admin".to_string())
+                .spawn(move || admin_loop(&shared))?
         };
-        let blocking = vec![
-            spawn("router-metrics", |s| &s.metrics_jobs)?,
-            spawn("router-admin", |s| &s.admin_jobs)?,
-        ];
         let service: Arc<dyn Service> = Arc::clone(&shared) as Arc<dyn Service>;
         let core = EventCore::start(listener, service, core_config, loop_stats, clock)?;
         Ok(Router {
             shared,
             addr,
             core: Some(core),
-            blocking,
+            admin_thread: Some(admin_thread),
         })
     }
 
@@ -480,9 +465,8 @@ impl Router {
             }
             relay.links.clear();
         }
-        self.shared.metrics_jobs.close();
         self.shared.admin_jobs.close();
-        for handle in self.blocking.drain(..) {
+        if let Some(handle) = self.admin_thread.take() {
             let _ = handle.join();
         }
         let s = &self.shared.stats;
@@ -497,27 +481,6 @@ impl Router {
             chaos_kills: s.chaos_kills.value(),
         }
     }
-
-    /// Router registry + supervisor base + live fleet scrape.
-    pub fn metrics_snapshot(&self) -> Snapshot {
-        metrics_snapshot(&self.shared)
-    }
-}
-
-fn metrics_snapshot(shared: &Shared) -> Snapshot {
-    let mut snap = shared.registry.snapshot();
-    if let Some(base) = &shared.base {
-        snap.merge(&base());
-    }
-    let (up, total) = shared.directory.counts();
-    snap.set_gauge("silentcert_cluster_shards_up", up as i64);
-    snap.set_gauge("silentcert_cluster_shards_total", total as i64);
-    fleet::scrape_into(
-        &mut snap,
-        &shared.directory,
-        shared.config.scrape_timeout_ms,
-    );
-    snap
 }
 
 impl Service for Shared {
@@ -545,8 +508,25 @@ impl Service for Shared {
         match req.op {
             Op::Validate | Op::Classify => self.forward(line, req.id, &req.der, done),
             Op::Metrics => {
-                let verb = Blocking::Metrics { format: req.format };
-                self.offload(&self.metrics_jobs, verb, req.id, done);
+                // From memory only, like `fleet`: the router's registry,
+                // the supervisor's series, and the aggregator's newest
+                // round.
+                let mut snap = self.registry.snapshot();
+                if let Some(base) = &self.base {
+                    snap.merge(&base());
+                }
+                if let Some(handle) = &self.fleet {
+                    snap.merge(&handle.metrics());
+                }
+                done.fill(if req.format.as_deref() == Some("prometheus") {
+                    protocol::response_line(
+                        &req.id,
+                        code::OK,
+                        &[("exposition", protocol::js(&snap.render_prometheus()))],
+                    )
+                } else {
+                    protocol::response_line(&req.id, code::OK, &[("metrics", snap.render_json())])
+                });
             }
             Op::Fleet => {
                 // Read-only compute over the aggregator's in-memory
@@ -586,7 +566,7 @@ impl Service for Shared {
                 done.fill(protocol::response_line(
                     &req.id,
                     code::OK,
-                    &fleet::health_fields(&self.directory),
+                    &health_fields(&self.directory),
                 ));
             }
             Op::Stats => {
@@ -711,7 +691,20 @@ impl Service for Shared {
                     }
                     _ => unreachable!("non-admin op in admin arm"),
                 };
-                self.offload(&self.admin_jobs, Blocking::Admin(op), req.id, done);
+                if let Err(PushError::Full(job) | PushError::Closed(job)) =
+                    self.admin_jobs.try_push(AdminJob {
+                        op,
+                        id: req.id,
+                        done,
+                    })
+                {
+                    self.stats.shed_relay.inc();
+                    job.done.fill(protocol::error_line(
+                        &job.id,
+                        code::UNAVAILABLE,
+                        "router overloaded",
+                    ));
+                }
             }
         }
     }
@@ -829,27 +822,6 @@ impl Service for Shared {
 }
 
 impl Shared {
-    /// Queue a blocking verb on its thread; a full or closed queue is an
-    /// explicit `502`.
-    fn offload(
-        &self,
-        queue: &BoundedQueue<BlockingJob>,
-        verb: Blocking,
-        id: String,
-        done: Completion,
-    ) {
-        if let Err(PushError::Full(job) | PushError::Closed(job)) =
-            queue.try_push(BlockingJob { verb, id, done })
-        {
-            self.stats.shed_relay.inc();
-            job.done.fill(protocol::error_line(
-                &job.id,
-                code::UNAVAILABLE,
-                "router overloaded",
-            ));
-        }
-    }
-
     /// Admit one `validate`/`classify` frame and send it toward the
     /// shard that owns its key.
     fn forward(&self, line: String, id: String, der: &[u8], done: Completion) {
@@ -1115,46 +1087,60 @@ impl Shared {
     }
 }
 
-/// One blocking-verb thread: runs its queue's jobs in order.
-fn blocking_loop(shared: &Shared, queue: &BoundedQueue<BlockingJob>) {
-    while let Some(BlockingJob { verb, id, done }) = queue.pop() {
-        let resp = match verb {
-            Blocking::Metrics { format } => {
-                let snap = metrics_snapshot(shared);
-                match format.as_deref() {
-                    Some("prometheus") => protocol::response_line(
-                        &id,
-                        code::OK,
-                        &[("exposition", protocol::js(&snap.render_prometheus()))],
-                    ),
-                    _ => protocol::response_line(&id, code::OK, &[("metrics", snap.render_json())]),
-                }
+/// The admin thread: runs queued admin verbs in order.
+fn admin_loop(shared: &Shared) {
+    while let Some(AdminJob { op, id, done }) = shared.admin_jobs.pop() {
+        shared.stats.admin_ops.inc();
+        let resp = match shared.admin.as_ref() {
+            None => {
+                shared.stats.admin_failures.inc();
+                protocol::error_line(&id, code::UNAVAILABLE, "admin plane unavailable")
             }
-            Blocking::Admin(op) => {
-                shared.stats.admin_ops.inc();
-                match shared.admin.as_ref() {
-                    None => {
-                        shared.stats.admin_failures.inc();
-                        protocol::error_line(&id, code::UNAVAILABLE, "admin plane unavailable")
-                    }
-                    Some(admin) => match admin(op) {
-                        Ok(fields) => {
-                            let rendered: Vec<(&str, String)> = fields
-                                .iter()
-                                .map(|(k, v)| (k.as_str(), v.clone()))
-                                .collect();
-                            protocol::response_line(&id, code::OK, &rendered)
-                        }
-                        Err(msg) => {
-                            shared.stats.admin_failures.inc();
-                            protocol::error_line(&id, code::UNAVAILABLE, &msg)
-                        }
-                    },
+            Some(admin) => match admin(op) {
+                Ok(fields) => {
+                    let rendered: Vec<(&str, String)> = fields
+                        .iter()
+                        .map(|(k, v)| (k.as_str(), v.clone()))
+                        .collect();
+                    protocol::response_line(&id, code::OK, &rendered)
                 }
-            }
+                Err(msg) => {
+                    shared.stats.admin_failures.inc();
+                    protocol::error_line(&id, code::UNAVAILABLE, &msg)
+                }
+            },
         };
         done.fill(resp);
     }
+}
+
+/// The router's `health` payload: per-shard state plus fleet counts,
+/// rendered as JSON fields (the caller wraps them in a response line).
+fn health_fields(directory: &Directory) -> Vec<(&'static str, String)> {
+    let (up, total) = directory.counts();
+    let mut shards = String::from("[");
+    for (i, view) in directory.snapshot().iter().enumerate() {
+        if i > 0 {
+            shards.push(',');
+        }
+        shards.push_str(&format!(
+            "{{\"shard\":{},\"health\":\"{}\",\"generation\":{}{}}}",
+            view.id,
+            view.health.as_str(),
+            view.generation,
+            match &view.addr {
+                Some(a) => format!(",\"addr\":\"{}\"", silentcert_serve::json::escape(a)),
+                None => String::new(),
+            }
+        ));
+    }
+    shards.push(']');
+    vec![
+        ("role", "\"router\"".to_string()),
+        ("shards_up", up.to_string()),
+        ("shards_total", total.to_string()),
+        ("shards", shards),
+    ]
 }
 
 /// Off Linux there is no poller to pipeline on: each attempt is one
@@ -1235,5 +1221,23 @@ mod blocking {
                 )
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn health_fields_render_parseable_json() {
+        let d = Directory::new(16);
+        d.set_up(0, "127.0.0.1:9999", 1);
+        d.register(1);
+        let fields = health_fields(&d);
+        let line = protocol::response_line("h", 200, &fields);
+        let v = silentcert_serve::json::parse(&line).unwrap();
+        assert_eq!(v.get("shards_up").unwrap().as_f64(), Some(1.0));
+        assert_eq!(v.get("shards_total").unwrap().as_f64(), Some(2.0));
+        assert_eq!(v.get("shards").unwrap().as_array().unwrap().len(), 2);
     }
 }

@@ -8,16 +8,20 @@
 //! shards (plain listeners the test reads and answers by hand): a late
 //! reply after a hedge, a shard dying under a full pipeline, a restart
 //! on a new port, and the window and wait-queue bounds. Every case ends
-//! with no admission epoch left open.
+//! with no admission epoch left open. The `metrics` verb is checked to
+//! answer from memory: no shard connection, each shard's newest scrape
+//! round relabeled by shard.
 
-use silentcert_cluster::{AdminFn, Directory, Router, RouterConfig};
+use silentcert_cluster::{AdminFn, AggregatorHandle, Directory, Router, RouterConfig};
 use silentcert_crypto::sha256;
+use silentcert_obs::fleet::SloConfig;
 use silentcert_serve::{server, ServeConfig};
 use silentcert_validate::{TrustStore, Validator};
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn start_shard() -> server::ServerHandle {
     let validator = Arc::new(Validator::new(TrustStore::from_roots(Vec::new())));
@@ -568,6 +572,96 @@ fn metrics_and_forwards_answer_while_an_admin_verb_blocks() {
     release.send(()).unwrap();
     let resp = operator.recv();
     assert!(resp.contains("\"epoch\":1"), "{resp}");
+
+    router.drain();
+    let _ = router.wait();
+    shard.shutdown();
+    let _ = shard.wait();
+}
+
+#[test]
+fn metrics_answers_from_memory_without_touching_a_shard() {
+    // A shard that counts the connections it accepts and never replies.
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind stub");
+    let addr = listener.local_addr().unwrap().to_string();
+    let accepted = Arc::new(AtomicUsize::new(0));
+    {
+        let accepted = Arc::clone(&accepted);
+        std::thread::spawn(move || {
+            let mut held = Vec::new();
+            for stream in listener.incoming().flatten() {
+                accepted.fetch_add(1, Ordering::SeqCst);
+                held.push(stream);
+            }
+        });
+    }
+    let directory = Arc::new(Directory::new(64));
+    directory.set_up(0, &addr, 1);
+    let router = Router::start(
+        RouterConfig::default(),
+        Arc::clone(&directory),
+        None,
+        None,
+        None,
+        None,
+    )
+    .expect("bind router");
+
+    let start = Instant::now();
+    let resp = send_once(&router.addr().to_string(), r#"{"op":"metrics","id":"m"}"#);
+    let took = start.elapsed();
+    assert_eq!(code_of(&resp), 200, "{resp}");
+    assert!(took < Duration::from_millis(500), "metrics waited {took:?}");
+    assert_eq!(
+        accepted.load(Ordering::SeqCst),
+        0,
+        "metrics reached a shard"
+    );
+
+    router.drain();
+    let _ = router.wait();
+}
+
+#[test]
+fn metrics_carries_each_shards_newest_round_under_a_shard_label() {
+    let shard = start_shard();
+    let directory = Arc::new(Directory::new(64));
+    directory.set_up(0, &shard.addr().to_string(), 1);
+    let fleet = AggregatorHandle::new(SloConfig::default(), 8);
+    fleet.scrape_round(&directory, None, 5_000, 0);
+    let router = Router::start(
+        RouterConfig::default(),
+        Arc::clone(&directory),
+        None,
+        None,
+        None,
+        Some(fleet),
+    )
+    .expect("bind router");
+    let raddr = router.addr().to_string();
+
+    let resp = send_once(&raddr, r#"{"op":"metrics","id":"m","format":"prometheus"}"#);
+    let v = silentcert_serve::json::parse(&resp).unwrap();
+    let prom = v.get("exposition").and_then(|e| e.as_str()).unwrap();
+    for want in [
+        "\nsilentcert_fleet_scrape_ok{shard=\"0\"} 1\n",
+        // Each series keeps its kind: a gauge stays a gauge.
+        "# TYPE silentcert_serve_queue_depth gauge\nsilentcert_serve_queue_depth{shard=\"0\"} 0\n",
+        "# TYPE silentcert_serve_served_ok_total counter\nsilentcert_serve_served_ok_total{shard=\"0\"} 0\n",
+        "# TYPE silentcert_serve_request_latency_ms histogram\n",
+        "\nsilentcert_serve_request_latency_ms_count{shard=\"0\"} 0\n",
+        // An existing label set gains `shard` in sorted position.
+        "\nsilentcert_serve_shed_total{reason=\"queue_full\",shard=\"0\"} 0\n",
+    ] {
+        assert!(prom.contains(want), "missing {want:?} in:\n{prom}");
+    }
+    let resp = send_once(&raddr, r#"{"op":"metrics","id":"m"}"#);
+    let v = silentcert_serve::json::parse(&resp).unwrap();
+    let scrape_ok = v
+        .get("metrics")
+        .and_then(|m| m.get("silentcert_fleet_scrape_ok{shard=\"0\"}"))
+        .and_then(|x| x.as_f64());
+    assert_eq!(scrape_ok, Some(1.0), "{resp}");
 
     router.drain();
     let _ = router.wait();

@@ -7,10 +7,11 @@
 //! *sum* of shard latencies — and one stalled shard starves the whole
 //! round. This client multiplexes all the round's connections on the
 //! same [`epoll`](crate::epoll) wrapper the serve tier's event loop
-//! uses: connects are sequential (cheap on a LAN, bounded by the
-//! remaining deadline each), then a single poll loop drives every
-//! write + read concurrently until each connection has produced one
-//! response line or the deadline expires.
+//! uses: connects are sequential (cheap on a LAN; each is capped at an
+//! equal share of the deadline, so a shard whose accept queue is full
+//! cannot stall the connects after it), then a single poll loop drives
+//! every write + read concurrently until each connection has produced
+//! one response line or the deadline expires.
 //!
 //! Off Linux the module degrades to sequential blocking round-trips
 //! with the same per-call deadline semantics, matching the event loop's
@@ -30,8 +31,10 @@ pub struct ScatterTarget {
 /// order: the response line (without the trailing newline) or `None`
 /// on connect failure, transport error, or deadline expiry.
 pub fn scatter_lines(targets: &[ScatterTarget], timeout_ms: u64) -> Vec<Option<String>> {
-    let deadline = Instant::now() + Duration::from_millis(timeout_ms.max(1));
-    imp::run(targets, deadline)
+    let timeout_ms = timeout_ms.max(1);
+    let deadline = Instant::now() + Duration::from_millis(timeout_ms);
+    let share = Duration::from_millis((timeout_ms / targets.len().max(1) as u64).max(1));
+    imp::run(targets, deadline, share)
 }
 
 fn remaining(deadline: Instant) -> Duration {
@@ -45,7 +48,7 @@ mod imp {
     use std::io::{Read, Write};
     use std::net::TcpStream;
     use std::os::unix::io::AsRawFd;
-    use std::time::Instant;
+    use std::time::{Duration, Instant};
 
     struct Conn {
         stream: TcpStream,
@@ -55,16 +58,20 @@ mod imp {
         done: bool,
     }
 
-    pub(super) fn run(targets: &[ScatterTarget], deadline: Instant) -> Vec<Option<String>> {
+    pub(super) fn run(
+        targets: &[ScatterTarget],
+        deadline: Instant,
+        share: Duration,
+    ) -> Vec<Option<String>> {
         let mut results: Vec<Option<String>> = vec![None; targets.len()];
         let Ok(mut poller) = Poller::new() else {
             // Locked-down seccomp: same degradation as the event loop.
-            return super::fallback::run(targets, deadline);
+            return super::fallback::run(targets, deadline, share);
         };
         let mut conns: Vec<Option<Conn>> = Vec::with_capacity(targets.len());
         let mut open = 0usize;
         for (i, t) in targets.iter().enumerate() {
-            let budget = remaining(deadline);
+            let budget = remaining(deadline).min(share);
             let conn = t
                 .addr
                 .parse()
@@ -189,28 +196,28 @@ mod fallback {
     use super::{remaining, ScatterTarget};
     use std::io::{BufRead, BufReader, Write};
     use std::net::TcpStream;
-    use std::time::Instant;
+    use std::time::{Duration, Instant};
 
     #[cfg_attr(target_os = "linux", allow(dead_code))]
-    pub(super) fn run(targets: &[ScatterTarget], deadline: Instant) -> Vec<Option<String>> {
+    pub(super) fn run(
+        targets: &[ScatterTarget],
+        deadline: Instant,
+        share: Duration,
+    ) -> Vec<Option<String>> {
         targets
             .iter()
             .map(|t| {
-                let budget = remaining(deadline);
+                let budget = remaining(deadline).min(share);
                 if budget.is_zero() {
                     return None;
                 }
                 let sa = t.addr.parse().ok()?;
                 let mut stream = TcpStream::connect_timeout(&sa, budget).ok()?;
                 stream
-                    .set_read_timeout(Some(
-                        remaining(deadline).max(std::time::Duration::from_millis(1)),
-                    ))
+                    .set_read_timeout(Some(remaining(deadline).max(Duration::from_millis(1))))
                     .ok()?;
                 stream
-                    .set_write_timeout(Some(
-                        remaining(deadline).max(std::time::Duration::from_millis(1)),
-                    ))
+                    .set_write_timeout(Some(remaining(deadline).max(Duration::from_millis(1))))
                     .ok()?;
                 let mut line = t.line.clone();
                 if !line.ends_with('\n') {
@@ -233,7 +240,7 @@ mod fallback {
 mod tests {
     use super::*;
     use std::io::{BufRead, BufReader, Write};
-    use std::net::TcpListener;
+    use std::net::{TcpListener, TcpStream};
 
     /// An echo server answering one uppercased line per connection.
     fn echo_server(conns: usize) -> String {
@@ -305,5 +312,34 @@ mod tests {
         assert_eq!(results[2], None);
         // The stalled target cost the deadline, not forever.
         assert!(start.elapsed() < std::time::Duration::from_secs(5));
+    }
+
+    /// A shard whose loop stopped accepting fills its accept queue; from
+    /// then on the kernel drops a connect's SYN and the connect hangs.
+    /// Its connect may take only its share of the round, so the target
+    /// after it is still scraped.
+    #[test]
+    fn a_stalled_connect_does_not_fail_the_targets_after_it() {
+        let stuck = TcpListener::bind("127.0.0.1:0").unwrap();
+        let stuck_addr = stuck.local_addr().unwrap();
+        let mut held = Vec::new();
+        while let Ok(conn) =
+            TcpStream::connect_timeout(&stuck_addr, std::time::Duration::from_millis(100))
+        {
+            held.push(conn);
+            assert!(held.len() < 10_000, "the accept queue never filled");
+        }
+        let targets = vec![
+            ScatterTarget {
+                addr: stuck_addr.to_string(),
+                line: "stuck".to_string(),
+            },
+            ScatterTarget {
+                addr: echo_server(1),
+                line: "live".to_string(),
+            },
+        ];
+        let results = scatter_lines(&targets, 600);
+        assert_eq!(results, vec![None, Some("LIVE".to_string())]);
     }
 }

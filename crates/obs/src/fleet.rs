@@ -11,7 +11,9 @@
 //! * [`SampleRing`] — a bounded ring of fleet-wide scrape rounds
 //!   ([`FleetSample`]), each stamped with a monotonic sample index and a
 //!   [`Clock`](crate::Clock) timestamp, holding one full [`Snapshot`]
-//!   per shard plus the control plane's (router + supervisor) snapshot.
+//!   per shard plus the control plane's `control` snapshot (in a
+//!   cluster: the supervisor's lifecycle series and the aggregator's
+//!   health-verdict counters).
 //! * [`compute_view`] — deltas and rates with counter-reset detection
 //!   (a restart drops a counter to zero mid-ring; a generation bump is
 //!   a reset even when the new value happens to be larger), fleet-level
@@ -124,7 +126,8 @@ pub struct FleetSample {
     /// Cluster topology epoch at scrape time.
     pub epoch: u64,
     pub shards: Vec<ShardSample>,
-    /// Control-plane registries (router + supervisor + prober), merged.
+    /// Control-plane series, merged: in a cluster, the supervisor's
+    /// lifecycle series and the aggregator's health-verdict counters.
     pub control: Snapshot,
 }
 

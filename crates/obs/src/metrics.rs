@@ -341,6 +341,29 @@ fn series_key(name: &str, labels: &[(&str, &str)]) -> String {
     format!("{name}{{{}}}", body.join(","))
 }
 
+/// A series key's label body (`a="x",b="y"`) split into its `k="v"`
+/// pairs; a comma inside a quoted value does not split.
+fn label_pairs(body: &str) -> Vec<&str> {
+    let mut pairs = Vec::new();
+    let (mut start, mut quoted, mut escaped) = (0, false, false);
+    for (i, c) in body.char_indices() {
+        match c {
+            _ if escaped => escaped = false,
+            '\\' => escaped = true,
+            '"' => quoted = !quoted,
+            ',' if !quoted => {
+                pairs.push(&body[start..i]);
+                start = i + 1;
+            }
+            _ => {}
+        }
+    }
+    if start < body.len() {
+        pairs.push(&body[start..]);
+    }
+    pairs
+}
+
 /// Prometheus label-value escaping (backslash, quote, newline).
 fn escape_label(v: &str) -> String {
     let mut out = String::with_capacity(v.len());
@@ -499,6 +522,32 @@ impl Snapshot {
     /// (e.g. a queue depth read directly from the queue).
     pub fn set_gauge(&mut self, key: &str, v: i64) {
         self.series.insert(key.to_string(), SeriesValue::Gauge(v));
+    }
+
+    /// Every series with the label `name="value"` added (replacing a
+    /// label of that name), labels kept sorted as [`series_key`] sorts
+    /// them. Values keep their kind.
+    pub fn labeled(&self, name: &str, value: &str) -> Snapshot {
+        fn label_name(pair: &str) -> &str {
+            pair.split_once('=').map_or(pair, |(k, _)| k)
+        }
+        let label = format!("{name}=\"{}\"", escape_label(value));
+        let series = self
+            .series
+            .iter()
+            .map(|(key, v)| {
+                let (base, body) = match key.split_once('{') {
+                    Some((base, rest)) => (base, rest.strip_suffix('}').unwrap_or(rest)),
+                    None => (key.as_str(), ""),
+                };
+                let mut pairs = label_pairs(body);
+                pairs.retain(|p| label_name(p) != name);
+                let at = pairs.partition_point(|p| label_name(p) < name);
+                pairs.insert(at, &label);
+                (format!("{base}{{{}}}", pairs.join(",")), v.clone())
+            })
+            .collect();
+        Snapshot { series }
     }
 
     /// Look up a series by its canonical key.
@@ -731,6 +780,23 @@ fn escape_json(s: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn labeled_adds_the_label_where_a_registry_would_sort_it() {
+        let r = Registry::new();
+        r.counter("c_total").add(2);
+        r.gauge_with("g", &[("a", "x,\"y\"")]).set(-3);
+        r.histogram_with("h", &[("zone", "z")]).record(5);
+        r.counter_with("s_total", &[("shard", "9")]).inc();
+        let want = Registry::new();
+        want.counter_with("c_total", &[("shard", "1")]).add(2);
+        want.gauge_with("g", &[("a", "x,\"y\""), ("shard", "1")])
+            .set(-3);
+        want.histogram_with("h", &[("shard", "1"), ("zone", "z")])
+            .record(5);
+        want.counter_with("s_total", &[("shard", "1")]).inc();
+        assert_eq!(r.snapshot().labeled("shard", "1"), want.snapshot());
+    }
 
     #[test]
     fn bucket_boundaries_are_exact_then_log_linear() {

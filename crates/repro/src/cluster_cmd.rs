@@ -2,10 +2,11 @@
 //!
 //! Spawns N `repro serve` shard processes (each with a write-through,
 //! generation-suffixed journal), supervises them with restart backoff
-//! and a crash budget, health-probes them out of band, and fronts them
-//! with the failover router. The router's address is printed as
-//! `LISTENING <addr>` for port-0 discovery, exactly like a single
-//! shard's handshake — clients cannot tell the difference.
+//! and a crash budget, health-checks them in the fleet aggregator's
+//! scrape round, and fronts them with the failover router. The router's
+//! address is printed as `LISTENING <addr>` for port-0 discovery,
+//! exactly like a single shard's handshake — clients cannot tell the
+//! difference.
 //!
 //! On drain (a `shutdown` frame to the router, or SIGTERM/SIGINT), the
 //! fleet is SIGTERMed, every generation's journal is replayed against
@@ -15,11 +16,10 @@
 //! record replays to a different classification than the one served.
 
 use silentcert_cluster::{
-    start_prober, AdminHooks, Aggregator, AggregatorConfig, ProberConfig, Router, RouterConfig,
-    ShardSpec, Supervisor, SupervisorConfig,
+    AdminHooks, Aggregator, AggregatorConfig, Router, RouterConfig, ShardSpec, Supervisor,
+    SupervisorConfig,
 };
 use silentcert_obs::fleet::SloConfig;
-use silentcert_obs::metrics::Registry;
 use silentcert_obs::{error, info, SystemClock};
 use silentcert_serve::{replay, signal};
 use silentcert_sim::ScaleConfig;
@@ -27,7 +27,6 @@ use silentcert_validate::Validator;
 use std::io::Write;
 use std::path::PathBuf;
 use std::process::Command;
-use std::sync::atomic::AtomicBool;
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
@@ -57,7 +56,8 @@ pub struct ClusterCliOptions {
     pub slo_target: f64,
     /// Latency SLO threshold: a request slower than this spends budget.
     pub slo_latency_ms: u64,
-    /// Fleet aggregator scrape cadence.
+    /// Fleet aggregator scrape cadence, which is also the health-check
+    /// cadence.
     pub fleet_interval_ms: u64,
     /// Scrape rounds the aggregator ring retains.
     pub fleet_ring: usize,
@@ -226,31 +226,14 @@ pub fn run_cluster(config: &ScaleConfig, scale: &str, opts: &ClusterCliOptions) 
     info!("all {} shards up", opts.shards);
 
     let directory = supervisor.directory();
-    let prober_registry = Arc::new(Registry::new());
-    let prober_stop = Arc::new(AtomicBool::new(false));
-    let prober = start_prober(
-        ProberConfig::default(),
-        Arc::clone(&directory),
-        Arc::clone(&prober_registry),
-        Arc::clone(&prober_stop),
-    );
-
-    // The router's `metrics` verb merges the supervisor's lifecycle
-    // counters and the prober's verdicts under its own registry.
-    let sup_probe = supervisor.metrics_probe();
-    let base = {
-        let sup_probe = Arc::clone(&sup_probe);
-        let prober_registry = Arc::clone(&prober_registry);
-        Arc::new(move || {
-            let mut snap = sup_probe();
-            snap.merge(&prober_registry.snapshot());
-            snap
-        }) as Arc<dyn Fn() -> silentcert_obs::metrics::Snapshot + Send + Sync>
-    };
-    // The fleet stats aggregator (DESIGN.md §16): scrapes every shard's
-    // wire snapshot on a cadence into a bounded ring; the router's
-    // `fleet` verb and `repro top` read from it, and the ring is
-    // exported next to `--metrics` on drain.
+    // The supervisor's lifecycle series: every ring sample and the
+    // router's `metrics` verb carry them.
+    let base = supervisor.metrics_probe();
+    // The fleet stats aggregator (DESIGN.md §16), the one shard poller:
+    // scrapes every shard's wire snapshot on a cadence into a bounded
+    // ring and marks silent shards Down (and answering ones Up again);
+    // the router's `fleet` and `metrics` verbs and `repro top` read from
+    // it, and the ring is exported next to `--metrics` on drain.
     let aggregator = match Aggregator::start(
         AggregatorConfig {
             interval_ms: opts.fleet_interval_ms,
@@ -284,7 +267,7 @@ pub fn run_cluster(config: &ScaleConfig, scale: &str, opts: &ClusterCliOptions) 
         Arc::clone(&directory),
         Some(supervisor.killer()),
         Some(supervisor.admin_fn()),
-        Some(base),
+        Some(Arc::clone(&base)),
         Some(aggregator.handle()),
     ) {
         Ok(r) => r,
@@ -332,9 +315,7 @@ pub fn run_cluster(config: &ScaleConfig, scale: &str, opts: &ClusterCliOptions) 
             Err(e) => error!("writing fleet ring to {}: {e}", ring_path.display()),
         }
     }
-    prober_stop.store(true, std::sync::atomic::Ordering::SeqCst);
     let fsum = supervisor.wait();
-    let _ = prober.join();
 
     // Replay every generation's journal: the classification served
     // online must replay byte-identically offline.
@@ -371,10 +352,10 @@ pub fn run_cluster(config: &ScaleConfig, scale: &str, opts: &ClusterCliOptions) 
         }
     }
 
-    // Final fleet snapshot for `--metrics`: lifecycle + prober +
-    // router/journal tallies as counters.
-    let mut snap = sup_probe();
-    snap.merge(&prober_registry.snapshot());
+    // Final fleet snapshot for `--metrics`: lifecycle + health verdicts
+    // + router/journal tallies as counters.
+    let mut snap = base();
+    snap.merge(&fleet_handle.verdicts());
     snap.set_counter("silentcert_router_requests_total", rsum.requests);
     snap.set_counter("silentcert_router_relayed_total", rsum.relayed);
     snap.set_counter("silentcert_router_retries_total", rsum.retries);

@@ -146,7 +146,9 @@ fn usage() -> ! {
          \x20                    (default 0.999)\n\
          \x20 --slo-latency-ms N latency SLO: slower requests spend budget\n\
          \x20                    (default 250)\n\
-         \x20 --fleet-interval-ms N  aggregator scrape cadence (default 500)\n\
+         \x20 --fleet-interval-ms N  aggregator scrape cadence, which is also\n\
+         \x20                    the health-check cadence: a shard silent\n\
+         \x20                    for 3 rounds is marked Down (default 500)\n\
          \x20 --fleet-ring N     scrape rounds retained (default 240); the\n\
          \x20                    ring is exported next to --metrics on drain\n\
          \n\
