@@ -59,7 +59,7 @@ fn code_of(resp: &str) -> u32 {
 /// A classify frame whose DER payload is derived from `i`.
 fn frame(i: u32) -> (String, Vec<u8>) {
     let der = format!("certificate-{i:04}").into_bytes();
-    let hex: String = der.iter().map(|b| format!("{b:02x}")).collect();
+    let hex = silentcert_crypto::hex::encode(&der);
     (
         format!(r#"{{"op":"classify","id":"req{i}","cert":"{hex}"}}"#),
         der,

@@ -166,9 +166,7 @@ impl CertMeta {
             ocsp: cert.ocsp_uris().to_vec(),
             aia: cert.aia_ca_issuer_uris().to_vec(),
             oids: cert.policy_oids().iter().map(|o| o.to_string()).collect(),
-            aki_hex: cert
-                .authority_key_id()
-                .map(|id| id.iter().map(|b| format!("{b:02x}")).collect()),
+            aki_hex: cert.authority_key_id().map(silentcert_crypto::hex::encode),
             classification,
             version: cert.version,
             is_ca: cert.is_ca(),

@@ -19,6 +19,7 @@
 //! [`InvalidityReason::ParseFailure`] record instead of killing the run.
 
 use crate::dataset::{CertId, CertMeta, Dataset, DatasetBuilder, Operator, ScanCompleteness};
+use silentcert_crypto::hex;
 use silentcert_net::{
     AsDatabase, AsInfo, AsNumber, AsType, Ipv4, Prefix, PrefixTable, RoutingHistory,
 };
@@ -28,6 +29,7 @@ use silentcert_x509::{Certificate, Fingerprint};
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::fs;
+use std::io::{self, BufRead, BufReader};
 use std::path::{Path, PathBuf};
 
 /// Errors while loading a corpus.
@@ -170,19 +172,8 @@ impl QuarantineStore {
 
     /// Persist one payload; returns the (collision-disambiguated) path.
     pub fn save(&mut self, payload: &[u8]) -> std::io::Result<PathBuf> {
-        let digest = silentcert_crypto::sha256(payload);
-        let mut stem = String::with_capacity(self.prefix_hex);
-        for b in &digest {
-            for d in [b >> 4, b & 0xf] {
-                stem.push(char::from_digit(u32::from(d), 16).expect("nibble"));
-                if stem.len() == self.prefix_hex {
-                    break;
-                }
-            }
-            if stem.len() == self.prefix_hex {
-                break;
-            }
-        }
+        let mut stem = hex::encode(&silentcert_crypto::sha256(payload));
+        stem.truncate(self.prefix_hex);
         let n = self.used.entry(stem.clone()).or_insert(0);
         *n += 1;
         let name = if *n == 1 {
@@ -379,24 +370,23 @@ fn read(dir: &Path, name: &str) -> Result<String, IngestError> {
     fs::read_to_string(&path).map_err(|e| IngestError::Io(path.display().to_string(), e))
 }
 
-fn parse_hex_fingerprint(s: &str) -> Option<Fingerprint> {
-    fn nibble(b: u8) -> Option<u8> {
-        match b {
-            b'0'..=b'9' => Some(b - b'0'),
-            b'a'..=b'f' => Some(b - b'a' + 10),
-            b'A'..=b'F' => Some(b - b'A' + 10),
-            _ => None,
-        }
-    }
-    let bytes = s.as_bytes();
-    if bytes.len() != 64 {
-        return None;
-    }
-    let mut out = [0u8; 32];
-    for (i, slot) in out.iter_mut().enumerate() {
-        *slot = (nibble(bytes[2 * i])? << 4) | nibble(bytes[2 * i + 1])?;
-    }
-    Some(Fingerprint(out))
+/// One `scans.csv` row held between the streamed read and the
+/// day-ordered second pass: no text, and the certificate already
+/// resolved (`None`: its fingerprint is not in `certs.pem`).
+struct ScanRow {
+    line: usize,
+    day: i64,
+    operator: Operator,
+    ip: Ipv4,
+    cert: Option<CertId>,
+}
+
+/// The error `fs::read_to_string` gives for a file that is not UTF-8.
+fn not_utf8() -> io::Error {
+    io::Error::new(
+        io::ErrorKind::InvalidData,
+        "stream did not contain valid UTF-8",
+    )
 }
 
 /// Classify `certs` in parallel across `threads` workers (`0` inherits the
@@ -481,6 +471,7 @@ pub fn load_dataset_with(
         ),
         _ => None,
     };
+    let preserving = store.is_some();
     // Best-effort payload preservation: a failed write is counted, never
     // fatal — quarantine is an audit trail, not part of the dataset.
     let mut preserve = |report: &mut IngestReport, payload: &[u8]| {
@@ -493,8 +484,10 @@ pub fn load_dataset_with(
     };
 
     // -- certificates -------------------------------------------------------
-    let pem = read(dir, "certs.pem")?;
-    let scan = pem_scan("CERTIFICATE", &pem);
+    // The PEM text, DER buffers and parsed certificates are dropped as
+    // soon as each stage is done with them; only the interned metadata
+    // outlives this section.
+    let scan = pem_scan("CERTIFICATE", &read(dir, "certs.pem")?);
     report.pem_blocks = scan.blocks.len();
     report.pem_stray_lines = scan.stray_lines;
     if let Some(begin_line) = scan.unterminated {
@@ -509,10 +502,16 @@ pub fn load_dataset_with(
             "unterminated PEM block".to_string(),
         );
     }
-    let mut ders: Vec<Vec<u8>> = Vec::with_capacity(scan.blocks.len());
+    let mut certs = Vec::with_capacity(scan.blocks.len());
+    let mut parse_failures: Vec<Fingerprint> = Vec::new();
     for block in scan.blocks {
         match block.result {
-            Ok(der) => ders.push(der),
+            Ok(der) => match Certificate::from_der(&der) {
+                Ok(cert) => certs.push(cert),
+                // Keep unparseable certificates addressable by fingerprint
+                // so their observations classify as parse failures.
+                Err(_) => parse_failures.push(Fingerprint(silentcert_crypto::sha256(&der))),
+            },
             Err(e) => {
                 if !lenient {
                     return Err(IngestError::Pem(e));
@@ -522,18 +521,6 @@ pub fn load_dataset_with(
                 if let Some(raw) = &block.raw {
                     preserve(&mut report, raw.as_bytes());
                 }
-            }
-        }
-    }
-    let mut certs = Vec::with_capacity(ders.len());
-    let mut parse_failures: Vec<Fingerprint> = Vec::new();
-    for der in &ders {
-        match Certificate::from_der(der) {
-            Ok(cert) => certs.push(cert),
-            Err(_) => {
-                // Keep unparseable certificates addressable by fingerprint
-                // so their observations classify as parse failures.
-                parse_failures.push(Fingerprint(silentcert_crypto::sha256(der)));
             }
         }
     }
@@ -548,30 +535,51 @@ pub fn load_dataset_with(
     report.classify_panics = panics;
 
     let mut builder = DatasetBuilder::new();
-    let mut by_fp: HashMap<Fingerprint, CertId> = HashMap::new();
     for (cert, class) in certs.iter().zip(classifications) {
-        let meta = CertMeta::from_certificate(cert, class);
-        let fp = meta.fingerprint;
-        let id = builder.intern_cert(meta);
-        by_fp.insert(fp, id);
+        builder.intern_cert(CertMeta::from_certificate(cert, class));
     }
+    drop(certs);
     for fp in parse_failures {
-        let meta = parse_failure_meta(fp);
-        let id = builder.intern_cert(meta);
-        by_fp.insert(fp, id);
+        builder.intern_cert(parse_failure_meta(fp));
     }
 
     // -- observations --------------------------------------------------------
-    let scans_csv = read(dir, "scans.csv")?;
-    // Scans must be registered in day order; collect first (with source
-    // line numbers so quarantine records can point back into the file).
-    let mut rows: Vec<(usize, &str, i64, Operator, Ipv4, Fingerprint)> = Vec::new();
+    // Streamed: each row is parsed and its fingerprint resolved as it is
+    // read, and only a compact row is kept. Raw text is kept only for the
+    // rows lenient mode will quarantine, and their payloads are written
+    // once the whole file has read as UTF-8, so a file that is not loads
+    // nothing and quarantines nothing, as when it was read in one piece.
+    let path = dir.join("scans.csv");
+    let io_error = |e| IngestError::Io(path.display().to_string(), e);
+    let mut reader = BufReader::new(fs::File::open(&path).map_err(io_error)?);
+    let mut rows: Vec<ScanRow> = Vec::new();
+    // Rows whose fingerprint is not in certs.pem, in file order, with
+    // the text a quarantine store preserves (empty without a store):
+    // `(line, fingerprint, text)`.
+    let mut unknown: Vec<(usize, Fingerprint, String)> = Vec::new();
+    let mut syntax_payloads: Vec<String> = Vec::new();
+    let mut strict_error: Option<(usize, &'static str)> = None;
     let mut seen_rows: HashSet<(i64, Operator, Ipv4, Fingerprint)> = HashSet::new();
-    for (idx, line) in scans_csv.lines().enumerate() {
-        if line.is_empty() || line.starts_with('#') {
+    let mut buf = Vec::new();
+    let mut lineno = 0;
+    loop {
+        buf.clear();
+        if reader.read_until(b'\n', &mut buf).map_err(io_error)? == 0 {
+            break;
+        }
+        lineno += 1;
+        // `str::lines` splitting: drop the "\n", then a "\r" before it.
+        if buf.last() == Some(&b'\n') {
+            buf.pop();
+            if buf.last() == Some(&b'\r') {
+                buf.pop();
+            }
+        }
+        let line = std::str::from_utf8(&buf).map_err(|_| io_error(not_utf8()))?;
+        // After a strict-mode error the rest is only checked for UTF-8.
+        if strict_error.is_some() || line.is_empty() || line.starts_with('#') {
             continue;
         }
-        let lineno = idx + 1;
         report.rows_seen += 1;
         match parse_scan_row(line) {
             Ok((day, operator, ip, fp)) => {
@@ -581,37 +589,65 @@ pub fn load_dataset_with(
                     report.duplicate_rows += 1;
                     continue;
                 }
-                rows.push((lineno, line, day, operator, ip, fp));
-            }
-            Err(reason) => {
-                if !lenient {
-                    return Err(IngestError::Csv("scans.csv", lineno, reason));
+                let cert = builder.cert_id(&fp);
+                if cert.is_none() {
+                    let text = if preserving { line } else { "" };
+                    unknown.push((lineno, fp, text.to_string()));
                 }
+                rows.push(ScanRow {
+                    line: lineno,
+                    day,
+                    operator,
+                    ip,
+                    cert,
+                });
+            }
+            Err(reason) if !lenient => strict_error = Some((lineno, reason)),
+            Err(reason) => {
                 report.csv_syntax_errors += 1;
                 report.note(cap, "scans.csv", lineno, reason.to_string());
-                preserve(&mut report, line.as_bytes());
+                if preserving {
+                    syntax_payloads.push(line.to_string());
+                }
             }
         }
     }
-    rows.sort_by_key(|&(_, _, day, op, _, _)| (day, op != Operator::UMich));
+    drop(seen_rows);
+    if let Some((line, reason)) = strict_error {
+        return Err(IngestError::Csv("scans.csv", line, reason));
+    }
+    for payload in &syntax_payloads {
+        preserve(&mut report, payload.as_bytes());
+    }
+    // Scans must be registered in day order; the sort is stable, so
+    // rows of one scan keep their file order.
+    rows.sort_by_key(|r| (r.day, r.operator != Operator::UMich));
     let mut scan_ids: HashMap<(i64, Operator), crate::dataset::ScanId> = HashMap::new();
-    for &(lineno, line, day, op, ip, fp) in &rows {
-        let cert = match by_fp.get(&fp) {
-            Some(&id) => id,
-            None => {
-                if !lenient {
-                    return Err(IngestError::UnknownFingerprint(fp.to_hex()));
-                }
-                report.unknown_fingerprints += 1;
-                report.note(
-                    cap,
-                    "scans.csv",
-                    lineno,
-                    format!("unknown certificate {}", fp.to_hex()),
-                );
-                preserve(&mut report, line.as_bytes());
-                continue;
+    for &ScanRow {
+        line: lineno,
+        day,
+        operator: op,
+        ip,
+        cert,
+    } in &rows
+    {
+        let Some(cert) = cert else {
+            let at = unknown
+                .binary_search_by_key(&lineno, |u| u.0)
+                .expect("every unresolved row is recorded");
+            let (_, fp, line) = &unknown[at];
+            if !lenient {
+                return Err(IngestError::UnknownFingerprint(fp.to_hex()));
             }
+            report.unknown_fingerprints += 1;
+            report.note(
+                cap,
+                "scans.csv",
+                lineno,
+                format!("unknown certificate {}", fp.to_hex()),
+            );
+            preserve(&mut report, line.as_bytes());
+            continue;
         };
         // `ScanId` is a u16; a hostile corpus could name more distinct
         // (day, operator) pairs than that, which must be a parse error
@@ -639,6 +675,7 @@ pub fn load_dataset_with(
         builder.add_observation(scan, ip, cert);
         report.rows_accepted += 1;
     }
+    drop(rows);
 
     // -- scan completeness (optional sidecar) ---------------------------------
     if dir.join("completeness.csv").exists() {
@@ -759,7 +796,8 @@ fn parse_scan_row(line: &str) -> Result<(i64, Operator, Ipv4, Fingerprint), &'st
     let ip: Ipv4 = fields.next().and_then(|f| f.parse().ok()).ok_or("bad ip")?;
     let fp = fields
         .next()
-        .and_then(parse_hex_fingerprint)
+        .and_then(hex::decode_array)
+        .map(Fingerprint)
         .ok_or("bad fingerprint")?;
     Ok((day, operator, ip, fp))
 }
@@ -1072,6 +1110,162 @@ mod tests {
             delta("silentcert_core_ingest_quarantined_total{kind=\"duplicate_row\"}") >= 1,
             "duplicate-row quarantine not mirrored"
         );
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn fingerprint_field_is_64_hex_digits_of_either_case() {
+        let row = |fp: &str| parse_scan_row(&format!("1,umich,1.2.3.4,{fp}"));
+        let want = Fingerprint([0xab; 32]);
+        assert_eq!(row(&"ab".repeat(32)).unwrap().3, want);
+        assert_eq!(row(&"AB".repeat(32)).unwrap().3, want);
+        assert_eq!(row(&"aB".repeat(32)).unwrap().3, want);
+        for bad in [
+            "ab".repeat(31),
+            "ab".repeat(33),
+            format!("{}a", "ab".repeat(31)),
+            format!("{}zz", "ab".repeat(31)),
+            String::new(),
+        ] {
+            assert_eq!(row(&bad), Err("bad fingerprint"), "{bad}");
+        }
+        // Fields after the fingerprint are ignored, as they always were.
+        assert!(parse_scan_row(&format!("1,umich,1.2.3.4,{},extra", "ab".repeat(32))).is_ok());
+    }
+
+    #[test]
+    fn strict_syntax_error_outranks_an_earlier_unknown_fingerprint() {
+        let dir = tempdir("strict-order");
+        fs::write(dir.join("certs.pem"), "").unwrap();
+        let rows = format!(
+            "200,umich,10.0.0.1,{}\n100,rapid7,10.0.0.2,{}\n100,umich,10.0.0.3,{}\n",
+            "aa".repeat(32),
+            "bb".repeat(32),
+            "cc".repeat(32),
+        );
+        fs::write(
+            dir.join("scans.csv"),
+            format!("{rows}100,umich,10.0.0.999,{}\n", "dd".repeat(32)),
+        )
+        .unwrap();
+        let mut v = Validator::new(TrustStore::new());
+        match load_dataset(&dir, &mut v) {
+            Err(IngestError::Csv("scans.csv", 4, "bad ip")) => {}
+            other => panic!("unexpected: {other:?}"),
+        }
+        // Without the syntax error, the unknown fingerprint named is the
+        // first in (day, operator) order, not in file order.
+        fs::write(dir.join("scans.csv"), rows).unwrap();
+        match load_dataset(&dir, &mut v) {
+            Err(IngestError::UnknownFingerprint(fp)) => assert_eq!(fp, "cc".repeat(32)),
+            other => panic!("unexpected: {other:?}"),
+        }
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn lenient_notes_and_payloads_keep_their_order() {
+        let dir = tempdir("lenient-order");
+        let qdir = dir.join("q");
+        let a = device_cert("device-a");
+        fs::write(dir.join("certs.pem"), pem_encode("CERTIFICATE", a.to_der())).unwrap();
+        let lines = [
+            "# day,operator,ip,sha256".to_string(),
+            format!("300,umich,10.0.0.1,{}", "01".repeat(32)),
+            "100,umich".to_string(),
+            format!("200,rapid7,10.0.0.2,{}", "02".repeat(32)),
+            format!("200,umich,10.0.0.3,{}", a.fingerprint().to_hex()),
+            "nonsense".to_string(),
+            format!("200,umich,10.0.0.4,{}", "03".repeat(32)),
+        ];
+        fs::write(dir.join("scans.csv"), lines.join("\n") + "\n").unwrap();
+        let opts = IngestOptions {
+            quarantine_dir: Some(qdir),
+            ..IngestOptions::lenient()
+        };
+        let mut v = Validator::new(TrustStore::new());
+        let (d, report) = load_dataset_with(&dir, &mut v, &opts).unwrap();
+        assert_eq!(d.len(), 1);
+        // Syntax errors in file order, then unknown fingerprints in
+        // (day, operator) order: line 7 (day 200 UMich), 4, 2.
+        let notes: Vec<(usize, &str)> = report
+            .quarantined
+            .iter()
+            .map(|q| (q.line, q.reason.as_str()))
+            .collect();
+        let unknown = |hex: &str| format!("unknown certificate {}", hex.repeat(32));
+        assert_eq!(
+            notes,
+            [
+                (3, "bad ip"),
+                (6, "bad day"),
+                (7, unknown("03").as_str()),
+                (4, unknown("02").as_str()),
+                (2, unknown("01").as_str()),
+            ]
+        );
+        let payloads: Vec<String> = report
+            .quarantine_files
+            .iter()
+            .map(|f| fs::read_to_string(f).unwrap())
+            .collect();
+        assert_eq!(payloads, [2, 5, 6, 3, 1].map(|i| lines[i].clone()));
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn non_utf8_scans_csv_is_an_io_error_and_quarantines_nothing() {
+        let dir = tempdir("not-utf8");
+        let qdir = dir.join("q");
+        fs::write(dir.join("certs.pem"), "").unwrap();
+        // A syntax error first, then a row that is not UTF-8.
+        let mut bytes = b"100,umich\n".to_vec();
+        bytes.extend_from_slice(b"100,umich,10.0.0.1,\xff\xfe\n");
+        fs::write(dir.join("scans.csv"), &bytes).unwrap();
+        let want = fs::read_to_string(dir.join("scans.csv")).unwrap_err();
+        for opts in [
+            IngestOptions::default(),
+            IngestOptions {
+                quarantine_dir: Some(qdir.clone()),
+                ..IngestOptions::lenient()
+            },
+        ] {
+            let mut v = Validator::new(TrustStore::new());
+            match load_dataset_with(&dir, &mut v, &opts) {
+                Err(IngestError::Io(path, e)) => {
+                    assert!(path.ends_with("scans.csv"), "{path}");
+                    assert_eq!(e.kind(), want.kind());
+                    assert_eq!(e.to_string(), want.to_string());
+                }
+                other => panic!("{} mode: unexpected {other:?}", opts.mode),
+            }
+        }
+        assert_eq!(
+            fs::read_dir(&qdir).unwrap().count(),
+            0,
+            "a row was quarantined"
+        );
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn scans_csv_lines_split_like_str_lines() {
+        let dir = tempdir("line-endings");
+        let a = device_cert("device-a");
+        fs::write(dir.join("certs.pem"), pem_encode("CERTIFICATE", a.to_der())).unwrap();
+        let fp = a.fingerprint().to_hex();
+        // CRLF endings, a blank line and no newline after the last row.
+        let text = format!("# header\r\n100,umich,10.0.0.1,{fp}\r\n\n101,umich,10.0.0.2,{fp}");
+        fs::write(dir.join("scans.csv"), &text).unwrap();
+        let mut v = Validator::new(TrustStore::new());
+        let (d, report) = load_dataset_with(&dir, &mut v, &IngestOptions::default()).unwrap();
+        assert_eq!((d.len(), report.rows_seen), (2, 2));
+        // A bare "\r" with no "\n" after it is part of the field.
+        fs::write(dir.join("scans.csv"), format!("{text}\r")).unwrap();
+        match load_dataset(&dir, &mut v) {
+            Err(IngestError::Csv("scans.csv", 4, "bad fingerprint")) => {}
+            other => panic!("unexpected: {other:?}"),
+        }
         let _ = fs::remove_dir_all(&dir);
     }
 

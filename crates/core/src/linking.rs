@@ -89,7 +89,7 @@ impl fmt::Display for LinkField {
 pub fn feature_key(dataset: &Dataset, cert: CertId, field: LinkField) -> Option<String> {
     let meta = dataset.cert(cert);
     match field {
-        LinkField::PublicKey => Some(meta.key.iter().map(|b| format!("{b:02x}")).collect()),
+        LinkField::PublicKey => Some(silentcert_crypto::hex::encode(&meta.key)),
         LinkField::NotBefore => Some(meta.not_before.to_string()),
         LinkField::NotAfter => Some(meta.not_after.to_string()),
         LinkField::CommonName => match &meta.subject_cn {

@@ -17,12 +17,16 @@
 //!    self signatures, and detection of corrupted signatures. It is **not**
 //!    unforgeable and must never be used outside simulation.
 //!
+//! Hex text for fingerprints, DER and digests goes through the one codec
+//! in [`hex`].
+//!
 //! All big-integer arithmetic ([`bigint::BigUint`]) is implemented here:
 //! schoolbook multiplication, Knuth Algorithm D division, modular
 //! exponentiation, extended-Euclid inverses, and Miller–Rabin primality.
 
 pub mod bigint;
 pub mod entropy;
+pub mod hex;
 pub mod hmac;
 pub mod keyfile;
 pub mod obs;

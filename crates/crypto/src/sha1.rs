@@ -117,10 +117,7 @@ pub fn sha1(data: &[u8]) -> [u8; DIGEST_LEN] {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn hex(bytes: &[u8]) -> String {
-        bytes.iter().map(|b| format!("{b:02x}")).collect()
-    }
+    use crate::hex::encode as hex;
 
     #[test]
     fn fips_vectors() {

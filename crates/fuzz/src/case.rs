@@ -5,6 +5,7 @@
 //! by the SHA-256 of that serialization — content-addressed, so the same
 //! discrepancy found twice lands in the same file.
 
+use silentcert_crypto::hex;
 use silentcert_crypto::sha256::sha256;
 
 /// Magic first line of the on-disk case format.
@@ -30,7 +31,7 @@ impl FuzzCase {
 
     /// Content-addressed identity: hex SHA-256 of the text serialization.
     pub fn id(&self) -> String {
-        hex(&sha256(self.to_text().as_bytes()))
+        hex::encode(&sha256(self.to_text().as_bytes()))
     }
 
     /// Serialize to the versioned text format.
@@ -39,11 +40,11 @@ impl FuzzCase {
         out.push_str(CASE_HEADER);
         out.push('\n');
         out.push_str("leaf ");
-        out.push_str(&hex(&self.leaf));
+        out.push_str(&hex::encode(&self.leaf));
         out.push('\n');
         for link in &self.chain {
             out.push_str("chain ");
-            out.push_str(&hex(link));
+            out.push_str(&hex::encode(link));
             out.push('\n');
         }
         out
@@ -67,7 +68,8 @@ impl FuzzCase {
             let (kind, payload) = line
                 .split_once(' ')
                 .ok_or_else(|| format!("malformed case line: {line:?}"))?;
-            let bytes = unhex(payload).ok_or_else(|| format!("non-hex payload in {kind} line"))?;
+            let bytes =
+                hex::decode(payload).map_err(|_| format!("non-hex payload in {kind} line"))?;
             match kind {
                 "leaf" if leaf.is_none() => leaf = Some(bytes),
                 "leaf" => return Err("duplicate leaf line".into()),
@@ -80,31 +82,6 @@ impl FuzzCase {
             chain,
         })
     }
-}
-
-/// Lowercase hex encoding.
-pub fn hex(bytes: &[u8]) -> String {
-    let mut s = String::with_capacity(bytes.len() * 2);
-    for b in bytes {
-        s.push_str(&format!("{b:02x}"));
-    }
-    s
-}
-
-/// Strict lowercase/uppercase hex decoding; `None` on odd length or
-/// non-hex characters. An empty string decodes to an empty payload.
-pub fn unhex(s: &str) -> Option<Vec<u8>> {
-    if !s.len().is_multiple_of(2) {
-        return None;
-    }
-    let digits = s.as_bytes();
-    let mut out = Vec::with_capacity(s.len() / 2);
-    for pair in digits.chunks(2) {
-        let hi = (pair[0] as char).to_digit(16)?;
-        let lo = (pair[1] as char).to_digit(16)?;
-        out.push((hi * 16 + lo) as u8);
-    }
-    Some(out)
 }
 
 #[cfg(test)]
@@ -122,6 +99,14 @@ mod tests {
         assert_eq!(back, case);
         assert_eq!(back.id(), case.id());
         assert_eq!(case.id().len(), 64);
+    }
+
+    #[test]
+    fn payloads_decode_in_either_case() {
+        let case = FuzzCase::from_text(&format!("{CASE_HEADER}\nleaf DEad\nchain \n")).unwrap();
+        assert_eq!(case.leaf, [0xde, 0xad]);
+        assert_eq!(case.chain, [Vec::<u8>::new()]);
+        assert!(FuzzCase::from_text(&format!("{CASE_HEADER}\nleaf abc\n")).is_err());
     }
 
     #[test]

@@ -320,7 +320,7 @@ impl Harness {
             hasher.update(d.kind.label().as_bytes());
             hasher.update(b"\n");
         }
-        let digest = crate::case::hex(&hasher.finalize());
+        let digest = silentcert_crypto::hex::encode(&hasher.finalize());
 
         obs::mutants().add(mutants);
         obs::discrepancies().add(found.len() as u64);

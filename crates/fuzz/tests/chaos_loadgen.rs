@@ -5,15 +5,12 @@
 //! 500s, no crash, and a journal that replays without mismatches.
 
 use silentcert_crypto::entropy::XorShift64;
+use silentcert_crypto::hex::encode as hex;
 use silentcert_fuzz::{Mutator, SeedPool};
 use silentcert_serve::loadgen::{self, ClientFaultPlan, LoadgenOptions};
 use silentcert_serve::{journal, server, BreakerConfig, ServeConfig, PANIC_RESULT};
 use silentcert_validate::{TrustStore, Validator};
 use std::sync::Arc;
-
-fn hex(bytes: &[u8]) -> String {
-    bytes.iter().map(|b| format!("{b:02x}")).collect()
-}
 
 /// The request mix: every seed case (chains included) plus mutated
 /// variants of each leaf, plus chaos panic frames.

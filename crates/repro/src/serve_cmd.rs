@@ -12,6 +12,7 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use silentcert_crypto::entropy::{EntropySource, XorShift64};
+use silentcert_crypto::hex;
 use silentcert_obs::{error, info};
 use silentcert_serve::loadgen::{ClientFaultPlan, LoadgenOptions};
 use silentcert_serve::{loadgen, server, BreakerConfig, ServeConfig};
@@ -90,10 +91,6 @@ pub fn build_validator(config: &ScaleConfig) -> (CaEcosystem, Arc<Validator>) {
     (eco, Arc::new(v))
 }
 
-fn hex(bytes: &[u8]) -> String {
-    bytes.iter().map(|b| format!("{b:02x}")).collect()
-}
-
 /// Render the simulated request corpus `loadgen` replays: a mix shaped
 /// like the paper's scan population (valid chains, chainless leaves that
 /// only validate transvalidly, self-signed device certs, expired certs,
@@ -127,9 +124,9 @@ pub fn request_corpus(config: &ScaleConfig, chaos_panics: bool, mutate: f64) -> 
             12_000 + i as i64,
             &mut rng,
         );
-        let der = hex(&maybe_mutate(cert.to_der()));
+        let der = hex::encode(&maybe_mutate(cert.to_der()));
         if i % 2 == 0 {
-            let chain = hex(eco.brands[brand].intermediate.to_der());
+            let chain = hex::encode(eco.brands[brand].intermediate.to_der());
             lines.push(format!(
                 r#"{{"op":"classify","id":"site{i}","cert":"{der}","chain":["{chain}"]}}"#
             ));
@@ -155,7 +152,7 @@ pub fn request_corpus(config: &ScaleConfig, chaos_panics: bool, mutate: f64) -> 
             .self_signed(&key);
         lines.push(format!(
             r#"{{"op":"classify","id":"dev{i}","cert":"{}"}}"#,
-            hex(&maybe_mutate(cert.to_der()))
+            hex::encode(&maybe_mutate(cert.to_der()))
         ));
     }
     // Garbage DER classifies as a parse failure, not a protocol error.

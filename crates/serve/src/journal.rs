@@ -11,12 +11,14 @@
 //! ...
 //! ```
 //!
-//! The first flush writes header + backlog via atomic temp-file + rename
-//! (a crash mid-flush leaves the previous journal intact); later flushes
-//! append only new records. A crash mid-append therefore leaves at most
-//! one torn record *at the tail*, which [`read_journal`] tolerates and
-//! reports — while a checksum failure anywhere **before** the tail is
-//! real corruption and stays a hard error.
+//! A write-through journal writes each record inside [`Journal::append`].
+//! A buffered one's first flush writes header + backlog through
+//! `silentcert_obs::atomic_write` (a crash mid-flush leaves the previous
+//! journal intact), and later flushes append only new records. Either
+//! way memory holds only the records not yet on disk. A crash mid-append
+//! therefore leaves at most one torn record *at the tail*, which
+//! [`read_journal`] tolerates and reports — while a checksum failure
+//! anywhere **before** the tail is real corruption and stays a hard error.
 //!
 //! The journal records the request *input* (leaf + presented chain DER)
 //! alongside the result string, which makes it replayable: feed every
@@ -25,10 +27,11 @@
 //! end-to-end correctness check — a drain under chaos proves nothing was
 //! half-classified.
 
+use silentcert_crypto::hex;
 use silentcert_validate::Validator;
 use silentcert_x509::Certificate;
 use std::fs;
-use std::io::{self, BufWriter, Write};
+use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
@@ -55,64 +58,65 @@ pub struct JournalEntry {
     pub result: String,
 }
 
-fn hex(bytes: &[u8]) -> String {
-    let mut s = String::with_capacity(bytes.len() * 2);
-    for b in bytes {
-        s.push_str(&format!("{b:02x}"));
-    }
-    s
-}
-
-fn unhex(s: &str) -> Result<Vec<u8>, String> {
-    if !s.len().is_multiple_of(2) {
-        return Err("odd-length hex".to_string());
-    }
-    let nibble = |b: u8| match b {
-        b'0'..=b'9' => Ok(b - b'0'),
-        b'a'..=b'f' => Ok(b - b'a' + 10),
-        _ => Err("bad hex digit".to_string()),
-    };
-    let bytes = s.as_bytes();
-    let mut out = Vec::with_capacity(s.len() / 2);
-    for i in (0..bytes.len()).step_by(2) {
-        out.push((nibble(bytes[i])? << 4) | nibble(bytes[i + 1])?);
-    }
-    Ok(out)
-}
-
 /// The per-line checksum over everything after the checksum field.
-fn line_check(rest: &str) -> String {
-    hex(&silentcert_crypto::sha256(rest.as_bytes()))[..CHECK_LEN].to_string()
+fn line_check(rest: &[u8]) -> Vec<u8> {
+    let mut check = Vec::with_capacity(CHECK_LEN);
+    hex::encode_to(
+        &mut check,
+        &silentcert_crypto::sha256(rest)[..CHECK_LEN / 2],
+    );
+    check
+}
+
+/// Append one record line, newline included, to `out`:
+/// `<check>\t<seq>\t<op>\t<der hex>\t<chain hex,...>\t<result>`. The
+/// fields are rendered in place and the checksum is filled in over them,
+/// so the record is never built twice.
+fn render_record<'a>(
+    out: &mut Vec<u8>,
+    seq: u64,
+    op: &str,
+    der: &[u8],
+    chain: impl IntoIterator<Item = &'a [u8]>,
+    result: &str,
+) {
+    let start = out.len();
+    out.extend_from_slice(&[b'\t'; CHECK_LEN + 1]);
+    let rest = out.len();
+    write!(out, "{seq}\t{op}\t").expect("writing to a Vec cannot fail");
+    hex::encode_to(out, der);
+    out.push(b'\t');
+    for (i, link) in chain.into_iter().enumerate() {
+        if i > 0 {
+            out.push(b',');
+        }
+        hex::encode_to(out, link);
+    }
+    out.push(b'\t');
+    out.extend_from_slice(result.as_bytes());
+    let check = line_check(&out[rest..]);
+    out[start..start + CHECK_LEN].copy_from_slice(&check);
+    out.push(b'\n');
 }
 
 impl JournalEntry {
-    fn to_line(&self) -> String {
-        let chain = self
-            .chain
-            .iter()
-            .map(|der| hex(der))
-            .collect::<Vec<_>>()
-            .join(",");
-        let rest = format!(
-            "{}\t{}\t{}\t{}\t{}",
-            self.seq,
-            self.op,
-            hex(&self.der),
-            chain,
-            self.result
-        );
-        format!("{}\t{}", line_check(&rest), rest)
-    }
-
     fn from_line(line: &str) -> Result<JournalEntry, String> {
         let (check, rest) = line
             .split_once('\t')
             .ok_or_else(|| "missing checksum field".to_string())?;
-        if check.len() != CHECK_LEN || line_check(rest) != check {
+        if check.len() != CHECK_LEN || line_check(rest.as_bytes()) != check.as_bytes() {
             return Err("checksum mismatch".to_string());
         }
         let mut f = rest.splitn(5, '\t');
         let mut field = |what: &str| f.next().ok_or_else(|| format!("missing {what}"));
+        // The journal writes lowercase only; an uppercase digit, which
+        // the codec itself would accept, is corruption here.
+        let unhex = |s: &str| match hex::decode(s) {
+            Ok(_) if s.bytes().any(|b| b.is_ascii_uppercase()) => {
+                Err(hex::HexError::BadDigit.to_string())
+            }
+            decoded => decoded.map_err(|e| e.to_string()),
+        };
         let seq = field("seq")?
             .parse::<u64>()
             .map_err(|_| "bad seq".to_string())?;
@@ -138,35 +142,6 @@ impl JournalEntry {
     }
 }
 
-/// Same atomic temp-file + rename discipline as `scan.ckpt` (see
-/// `silentcert_sim::export::atomic_write`; duplicated here so the serving
-/// crate stays free of the simulator dependency).
-fn atomic_write(path: &Path, content: &str) -> io::Result<()> {
-    let tmp = path.with_extension(match path.extension() {
-        Some(ext) => format!("{}.tmp", ext.to_string_lossy()),
-        None => "tmp".to_string(),
-    });
-    let result = (|| {
-        let mut out = BufWriter::new(fs::File::create(&tmp)?);
-        out.write_all(content.as_bytes())?;
-        out.flush()?;
-        out.into_inner().map_err(|e| e.into_error())?.sync_all()?;
-        Ok(())
-    })();
-    match result {
-        Ok(()) => {
-            fs::rename(&tmp, path)?;
-            // The rename is visible but not durable until the parent
-            // directory entry itself is synced.
-            silentcert_obs::fsync_parent_dir(path)
-        }
-        Err(e) => {
-            let _ = fs::remove_file(&tmp);
-            Err(e)
-        }
-    }
-}
-
 /// Thread-shared journal: workers append, the supervisor flushes.
 pub struct Journal {
     path: PathBuf,
@@ -188,25 +163,30 @@ enum Sink {
 }
 
 struct JournalState {
-    lines: Vec<String>,
+    /// Rendered records not yet written to the file, in sequence order.
+    /// Everything before them is on disk, so this is all a long-lived
+    /// journal holds: a write-through journal's backlog is empty unless
+    /// a write failed, a buffered one's is empty after each flush.
+    pending: Vec<u8>,
+    /// Records appended so far; also the next sequence number.
     next_seq: u64,
-    /// Lines persisted by the last flush (skip no-op rewrites, append the
-    /// rest). In write-through mode: lines already written to the file.
-    flushed_lines: usize,
     flushes: u64,
     sink: Sink,
 }
 
 impl Journal {
     pub fn new(path: PathBuf) -> Journal {
+        Journal::with_sink(path, Sink::Buffered)
+    }
+
+    fn with_sink(path: PathBuf, sink: Sink) -> Journal {
         Journal {
             path,
             state: Mutex::new(JournalState {
-                lines: Vec::new(),
+                pending: Vec::new(),
                 next_seq: 0,
-                flushed_lines: 0,
                 flushes: 0,
-                sink: Sink::Buffered,
+                sink,
             }),
         }
     }
@@ -222,16 +202,7 @@ impl Journal {
         silentcert_obs::fsync_parent_dir(&path)?;
         file.write_all(HEADER.as_bytes())?;
         file.write_all(b"\n")?;
-        Ok(Journal {
-            path,
-            state: Mutex::new(JournalState {
-                lines: Vec::new(),
-                next_seq: 0,
-                flushed_lines: 0,
-                flushes: 0,
-                sink: Sink::WriteThrough(file),
-            }),
-        })
+        Ok(Journal::with_sink(path, Sink::WriteThrough(file)))
     }
 
     pub fn path(&self) -> &Path {
@@ -241,27 +212,24 @@ impl Journal {
     /// Append one completed classification; returns its sequence number.
     pub fn append(&self, op: &str, der: &[u8], chain: &[Certificate], result: &str) -> u64 {
         let mut s = self.state.lock().unwrap();
+        let s = &mut *s;
         let seq = s.next_seq;
         s.next_seq += 1;
-        let entry = JournalEntry {
+        // Only write through when nothing earlier is still pending, so
+        // records never reach the file out of order; a failed write
+        // leaves the record pending for `flush` to retry.
+        let backlog = !s.pending.is_empty();
+        render_record(
+            &mut s.pending,
             seq,
-            op: op.to_string(),
-            der: der.to_vec(),
-            chain: chain.iter().map(|c| c.to_der().to_vec()).collect(),
-            result: result.to_string(),
-        };
-        s.lines.push(entry.to_line());
-        let s = &mut *s;
+            op,
+            der,
+            chain.iter().map(Certificate::to_der),
+            result,
+        );
         if let Sink::WriteThrough(file) = &mut s.sink {
-            // Only write through when nothing earlier is still pending,
-            // so records never reach the file out of order; a failed
-            // write leaves the tail buffered for `flush` to retry.
-            if s.flushed_lines + 1 == s.lines.len() {
-                let mut buf = s.lines[s.flushed_lines].clone();
-                buf.push('\n');
-                if file.write_all(buf.as_bytes()).is_ok() {
-                    s.flushed_lines += 1;
-                }
+            if !backlog && file.write_all(&s.pending).is_ok() {
+                s.pending.clear();
             }
         }
         seq
@@ -269,7 +237,8 @@ impl Journal {
 
     /// Entries appended so far.
     pub fn len(&self) -> usize {
-        self.state.lock().unwrap().lines.len()
+        let appended = self.state.lock().expect("journal lock poisoned").next_seq;
+        usize::try_from(appended).expect("entry count fits in usize")
     }
 
     pub fn is_empty(&self) -> bool {
@@ -287,48 +256,34 @@ impl Journal {
     /// the tail.
     pub fn flush(&self) -> io::Result<()> {
         let mut s = self.state.lock().unwrap();
-        if let Sink::WriteThrough(_) = s.sink {
+        let s = &mut *s;
+        if let Sink::WriteThrough(file) = &mut s.sink {
             // Records are already in the file (modulo a failed append,
             // retried here); flushing only writes the backlog and syncs.
-            let s = &mut *s;
-            let Sink::WriteThrough(file) = &mut s.sink else {
-                unreachable!()
-            };
-            if s.flushed_lines < s.lines.len() {
-                let mut tail = String::new();
-                for line in &s.lines[s.flushed_lines..] {
-                    tail.push_str(line);
-                    tail.push('\n');
-                }
-                file.write_all(tail.as_bytes())?;
-                s.flushed_lines = s.lines.len();
+            if !s.pending.is_empty() {
+                file.write_all(&s.pending)?;
+                s.pending.clear();
             }
             file.sync_all()?;
             s.flushes += 1;
             return Ok(());
         }
-        if s.lines.len() == s.flushed_lines && s.flushes > 0 {
+        if s.pending.is_empty() && s.flushes > 0 {
             return Ok(());
         }
         if s.flushes == 0 {
-            let mut content = String::from(HEADER);
-            content.push('\n');
-            for line in &s.lines {
-                content.push_str(line);
-                content.push('\n');
-            }
-            atomic_write(&self.path, &content)?;
+            let mut content = Vec::with_capacity(HEADER.len() + 1 + s.pending.len());
+            content.extend_from_slice(HEADER.as_bytes());
+            content.push(b'\n');
+            content.extend_from_slice(&s.pending);
+            silentcert_obs::atomic_write(&self.path, &content)?;
         } else {
-            let mut tail = String::new();
-            for line in &s.lines[s.flushed_lines..] {
-                tail.push_str(line);
-                tail.push('\n');
-            }
             let mut f = fs::OpenOptions::new().append(true).open(&self.path)?;
-            f.write_all(tail.as_bytes())?;
+            f.write_all(&s.pending)?;
             f.sync_all()?;
         }
-        s.flushed_lines = s.lines.len();
+        // Written: release the buffer rather than keep its peak size.
+        s.pending = Vec::new();
         s.flushes += 1;
         Ok(())
     }
@@ -427,6 +382,162 @@ mod tests {
         std::env::temp_dir().join(format!("silentcert-journal-{tag}-{}", std::process::id()))
     }
 
+    /// One chainless `classify` record line, newline included.
+    fn record(seq: u64, der: &[u8]) -> Vec<u8> {
+        let mut line = Vec::new();
+        render_record(
+            &mut line,
+            seq,
+            "classify",
+            der,
+            std::iter::empty(),
+            "invalid: parse error",
+        );
+        line
+    }
+
+    /// The per-byte `format!` rendering records had before the shared
+    /// codec: the bytes on disk must not change.
+    fn reference_line(e: &JournalEntry) -> String {
+        let hex = |bytes: &[u8]| -> String { bytes.iter().map(|b| format!("{b:02x}")).collect() };
+        let chain = e.chain.iter().map(|d| hex(d)).collect::<Vec<_>>().join(",");
+        let rest = format!(
+            "{}\t{}\t{}\t{}\t{}",
+            e.seq,
+            e.op,
+            hex(&e.der),
+            chain,
+            e.result
+        );
+        let check = hex(&silentcert_crypto::sha256(rest.as_bytes()))[..CHECK_LEN].to_string();
+        format!("{check}\t{rest}\n")
+    }
+
+    #[test]
+    fn records_render_like_the_format_reference() {
+        let entries = [
+            JournalEntry {
+                seq: 0,
+                op: "classify".into(),
+                der: vec![0x00, 0x0f, 0xf0, 0xff, 0x30, 0x82],
+                chain: vec![vec![0xab, 0xcd], vec![0x01]],
+                result: "valid (chain length 3, transvalid)".into(),
+            },
+            JournalEntry {
+                seq: 18_446_744_073_709_551_615,
+                op: "validate".into(),
+                der: (0..=255).collect(),
+                chain: Vec::new(),
+                result: PANIC_RESULT.into(),
+            },
+            JournalEntry {
+                seq: 7,
+                op: "chaos_panic".into(),
+                der: Vec::new(),
+                chain: vec![Vec::new()],
+                result: String::new(),
+            },
+        ];
+        let mut all = Vec::new();
+        for e in &entries {
+            let mut line = Vec::new();
+            render_record(
+                &mut line,
+                e.seq,
+                &e.op,
+                &e.der,
+                e.chain.iter().map(Vec::as_slice),
+                &e.result,
+            );
+            assert_eq!(String::from_utf8(line.clone()).unwrap(), reference_line(e));
+            all.extend_from_slice(&line);
+        }
+        // Rendering appends: records share one buffer back to back.
+        let joined: String = entries.iter().map(reference_line).collect();
+        assert_eq!(String::from_utf8(all).unwrap(), joined);
+        let back = JournalEntry::from_line(reference_line(&entries[0]).trim_end()).unwrap();
+        assert_eq!(back, entries[0]);
+    }
+
+    #[test]
+    fn replay_reads_lowercase_hex_only() {
+        // A record whose checksum is right but whose DER hex is not
+        // lowercase, odd-length or not hex at all is still corrupt.
+        let line = |der_hex: &str| {
+            let rest = format!("0\tclassify\t{der_hex}\t\tinvalid: parse error");
+            let check = String::from_utf8(line_check(rest.as_bytes())).unwrap();
+            format!("{check}\t{rest}")
+        };
+        assert_eq!(
+            JournalEntry::from_line(&line("dead")).unwrap().der,
+            [0xde, 0xad]
+        );
+        assert_eq!(
+            JournalEntry::from_line(&line("DEAD")),
+            Err("bad hex digit".to_string())
+        );
+        assert_eq!(
+            JournalEntry::from_line(&line("deaD")),
+            Err("bad hex digit".to_string())
+        );
+        assert_eq!(
+            JournalEntry::from_line(&line("dea")),
+            Err("odd-length hex".to_string())
+        );
+        assert_eq!(
+            JournalEntry::from_line(&line("dezz")),
+            Err("bad hex digit".to_string())
+        );
+        let chained = {
+            let rest = "0\tclassify\tdead\tbeef,CAFE\tinvalid: parse error";
+            let check = String::from_utf8(line_check(rest.as_bytes())).unwrap();
+            format!("{check}\t{rest}")
+        };
+        assert_eq!(
+            JournalEntry::from_line(&chained),
+            Err("bad hex digit".to_string())
+        );
+    }
+
+    #[test]
+    fn journal_holds_only_records_not_yet_on_disk() {
+        const N: usize = 200;
+        let held = |j: &Journal| {
+            let s = j.state.lock().unwrap();
+            (s.pending.len(), s.pending.capacity())
+        };
+        let path = temp("held-writethrough");
+        let j = Journal::write_through(path.clone()).unwrap();
+        for i in 0..N {
+            j.append("classify", &[i as u8; 600], &[], "invalid: parse error");
+            // Each record reached the file inside `append`; at most one
+            // record's worth of buffer is kept for reuse.
+            let (len, cap) = held(&j);
+            assert_eq!(len, 0, "record {i} still held after reaching the file");
+            assert!(cap < 4 * record(0, &[0; 600]).len(), "buffer grew to {cap}");
+        }
+        j.flush().unwrap();
+        assert_eq!(held(&j).0, 0);
+        assert_eq!(j.len(), N);
+        assert_eq!(read_journal(&path).unwrap().entries.len(), N);
+        let _ = fs::remove_file(&path);
+
+        let path = temp("held-buffered");
+        let j = Journal::new(path.clone());
+        for i in 0..N {
+            j.append("classify", &[i as u8; 600], &[], "invalid: parse error");
+        }
+        assert!(held(&j).0 > 0, "buffered records wait for a flush");
+        j.flush().unwrap();
+        assert_eq!(held(&j), (0, 0), "flushed records are released");
+        j.append("classify", &[1], &[], "invalid: parse error");
+        j.flush().unwrap();
+        assert_eq!(held(&j), (0, 0));
+        assert_eq!(j.len(), N + 1);
+        assert_eq!(read_journal(&path).unwrap().entries.len(), N + 1);
+        let _ = fs::remove_file(&path);
+    }
+
     #[test]
     fn round_trips_entries_with_checksums() {
         let path = temp("roundtrip");
@@ -484,17 +595,10 @@ mod tests {
         j.append("classify", &[2], &[], "invalid: parse error");
         j.flush().unwrap();
         // Simulate a crash mid-append: half of a third record.
-        let mut text = fs::read_to_string(&path).unwrap();
-        let full = JournalEntry {
-            seq: 2,
-            op: "classify".into(),
-            der: vec![3],
-            chain: Vec::new(),
-            result: "invalid: parse error".into(),
-        }
-        .to_line();
-        text.push_str(&full[..full.len() / 2]);
-        fs::write(&path, &text).unwrap();
+        let mut bytes = fs::read(&path).unwrap();
+        let full = record(2, &[3]);
+        bytes.extend_from_slice(&full[..full.len() / 2]);
+        fs::write(&path, &bytes).unwrap();
         let readout = read_journal(&path).unwrap();
         assert!(readout.truncated_tail);
         assert_eq!(readout.entries.len(), 2, "intact prefix survives");
@@ -513,16 +617,9 @@ mod tests {
             j.append("classify", &[1], &[], "invalid: parse error");
             j.append("classify", &[2], &[], "invalid: parse error");
             j.flush().unwrap();
-            let torn = JournalEntry {
-                seq: 2,
-                op: "classify".into(),
-                der: vec![3],
-                chain: Vec::new(),
-                result: "invalid: parse error".into(),
-            }
-            .to_line();
+            let torn = record(2, &[3]);
             let mut f = fs::OpenOptions::new().append(true).open(&path).unwrap();
-            f.write_all(&torn.as_bytes()[..torn.len() / 2]).unwrap();
+            f.write_all(&torn[..torn.len() / 2]).unwrap();
             f.sync_all().unwrap();
             std::process::abort();
         }

@@ -142,26 +142,14 @@ pub struct Request {
 }
 
 /// Decode a certificate field: base64 DER (the native form) or hex.
-/// The router hashes a [`fast_scan`]ned `cert` through this to pick a
-/// shard without parsing the rest of the frame.
+/// A non-empty, even-length field of hex digits (either case) is hex;
+/// anything else is base64. The router hashes a [`fast_scan`]ned `cert`
+/// through this to pick a shard without parsing the rest of the frame.
 pub fn decode_cert_field(s: &str) -> Result<Vec<u8>, &'static str> {
-    let looks_hex =
-        s.len().is_multiple_of(2) && !s.is_empty() && s.bytes().all(|b| b.is_ascii_hexdigit());
-    if looks_hex {
-        let mut out = Vec::with_capacity(s.len() / 2);
-        let nibble = |b: u8| match b {
-            b'0'..=b'9' => b - b'0',
-            b'a'..=b'f' => b - b'a' + 10,
-            b'A'..=b'F' => b - b'A' + 10,
-            _ => unreachable!(),
-        };
-        let bytes = s.as_bytes();
-        for i in (0..bytes.len()).step_by(2) {
-            out.push((nibble(bytes[i]) << 4) | nibble(bytes[i + 1]));
-        }
-        return Ok(out);
+    match silentcert_crypto::hex::decode(s) {
+        Ok(der) if !der.is_empty() => Ok(der),
+        _ => base64_decode(s).map_err(|_| "cert field is neither hex nor base64"),
     }
-    base64_decode(s).map_err(|_| "cert field is neither hex nor base64")
 }
 
 /// Parse one frame (without its trailing newline).
@@ -390,6 +378,49 @@ mod tests {
         assert_eq!(r.der, vec![0xde, 0xad, 0xbe, 0xef]);
         assert_eq!(r.deadline_ms, Some(50));
         assert_eq!(r.id, "");
+    }
+
+    /// `decode_cert_field` before its hex branch moved onto the shared
+    /// codec, kept as the reference the current one must agree with.
+    fn reference_cert_field(s: &str) -> Result<Vec<u8>, &'static str> {
+        let looks_hex =
+            s.len().is_multiple_of(2) && !s.is_empty() && s.bytes().all(|b| b.is_ascii_hexdigit());
+        if looks_hex {
+            let nibble = |b: u8| (b as char).to_digit(16).unwrap() as u8;
+            let bytes = s.as_bytes();
+            return Ok(bytes
+                .chunks(2)
+                .map(|p| (nibble(p[0]) << 4) | nibble(p[1]))
+                .collect());
+        }
+        base64_decode(s).map_err(|_| "cert field is neither hex nor base64")
+    }
+
+    #[test]
+    fn cert_field_is_hex_only_when_non_empty_even_and_all_hex() {
+        let deadbeef = Ok(vec![0xde, 0xad, 0xbe, 0xef]);
+        assert_eq!(decode_cert_field("DEADbeef"), deadbeef);
+        assert_eq!(decode_cert_field("3q2+7w=="), deadbeef);
+        // Valid base64 as well, but all-hex: hex wins.
+        assert_eq!(decode_cert_field("abcd"), Ok(vec![0xab, 0xcd]));
+        // Odd length or a non-hex byte falls to base64, and so does "".
+        assert_eq!(
+            decode_cert_field("abcdef0"),
+            reference_cert_field("abcdef0")
+        );
+        assert_eq!(decode_cert_field("abcg"), Ok(vec![0x69, 0xb7, 0x20]));
+        assert_eq!(decode_cert_field(""), Ok(Vec::new()));
+        assert_eq!(
+            decode_cert_field("abc"),
+            Err("cert field is neither hex nor base64")
+        );
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn cert_field_decodes_as_before(s in "[0-9a-fA-Fg-zG-Z+/= ]{0,12}") {
+            proptest::prop_assert_eq!(decode_cert_field(&s), reference_cert_field(&s));
+        }
     }
 
     #[test]

@@ -13,6 +13,7 @@
 //!   enforce them with zero worker involvement.
 
 use proptest::prelude::*;
+use silentcert_crypto::hex::encode as hex;
 use silentcert_crypto::sig::{KeyPair, SimKeyPair};
 use silentcert_serve::{server, ServeConfig, ServerHandle};
 use silentcert_validate::{TrustStore, Validator};
@@ -24,10 +25,6 @@ use std::time::{Duration, Instant};
 
 fn key(seed: &str) -> KeyPair {
     KeyPair::Sim(SimKeyPair::from_seed(seed.as_bytes()))
-}
-
-fn hex(bytes: &[u8]) -> String {
-    bytes.iter().map(|b| format!("{b:02x}")).collect()
 }
 
 fn years(from: i32, to: i32) -> (Time, Time) {

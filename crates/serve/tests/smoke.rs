@@ -8,6 +8,7 @@
 //! shutdown, and leaves a journal that replays to byte-identical
 //! classification results.
 
+use silentcert_crypto::hex::encode as hex;
 use silentcert_crypto::sig::{KeyPair, SimKeyPair};
 use silentcert_serve::loadgen::{self, ClientFaultPlan, LoadgenOptions};
 use silentcert_serve::{journal, server, BreakerConfig, ServeConfig};
@@ -58,10 +59,6 @@ fn pki() -> Pki {
         intermediate,
         intermediate_key,
     }
-}
-
-fn hex(bytes: &[u8]) -> String {
-    bytes.iter().map(|b| format!("{b:02x}")).collect()
 }
 
 /// A representative request mix: valid chains, expired leaves,

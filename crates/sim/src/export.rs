@@ -18,6 +18,8 @@
 use crate::config::ScaleConfig;
 use crate::world::{simulate_streaming, SimOutput};
 use silentcert_core::dataset::{Dataset, ScanCompleteness, ScanId};
+use silentcert_core::Operator;
+use silentcert_crypto::hex;
 use silentcert_net::AsType;
 use silentcert_x509::pem::pem_encode;
 use std::fs::{self, File};
@@ -57,32 +59,56 @@ pub fn atomic_write(
     }
 }
 
+/// An operator as corpus files and metric labels spell it (the enum's
+/// `Display` is the paper's prose name).
+pub(crate) fn operator_label(op: Operator) -> &'static str {
+    match op {
+        Operator::UMich => "umich",
+        Operator::Rapid7 => "rapid7",
+    }
+}
+
 /// Write `scans.csv` rows (`day,operator,ip,sha256`) for every
 /// observation in `dataset`, skipping those for which `keep` returns
 /// false. Observations are already sorted by `(scan, ip, cert)`.
+///
+/// A corpus has millions of rows, so each is rendered into one reused
+/// byte buffer: the `day,operator,` prefix is rendered once per scan,
+/// the address digit by digit and the fingerprint by the hex codec.
 fn write_scans_csv(
     dataset: &Dataset,
     out: &mut dyn Write,
     keep: &dyn Fn(ScanId, silentcert_net::Ipv4) -> bool,
 ) -> io::Result<()> {
-    writeln!(out, "# day,operator,ip,sha256")?;
+    out.write_all(b"# day,operator,ip,sha256\n")?;
+    let prefixes: Vec<String> = dataset
+        .scans
+        .iter()
+        .map(|info| format!("{},{},", info.day, operator_label(info.operator)))
+        .collect();
+    let mut row = Vec::with_capacity(128);
     for obs in &dataset.observations {
         if !keep(obs.scan, obs.ip) {
             continue;
         }
-        let info = dataset.scan(obs.scan);
-        let operator = match info.operator {
-            silentcert_core::Operator::UMich => "umich",
-            silentcert_core::Operator::Rapid7 => "rapid7",
-        };
-        writeln!(
-            out,
-            "{},{},{},{}",
-            info.day,
-            operator,
-            obs.ip,
-            dataset.cert(obs.cert).fingerprint.to_hex()
-        )?;
+        row.clear();
+        row.extend_from_slice(prefixes[usize::from(obs.scan.0)].as_bytes());
+        for (i, octet) in obs.ip.octets().into_iter().enumerate() {
+            if i > 0 {
+                row.push(b'.');
+            }
+            if octet >= 100 {
+                row.push(b'0' + octet / 100);
+            }
+            if octet >= 10 {
+                row.push(b'0' + octet / 10 % 10);
+            }
+            row.push(b'0' + octet % 10);
+        }
+        row.push(b',');
+        hex::encode_to(&mut row, &dataset.cert(obs.cert).fingerprint.0);
+        row.push(b'\n');
+        out.write_all(&row)?;
     }
     Ok(())
 }
@@ -167,15 +193,11 @@ pub fn export_completeness(
         )?;
         for (scan, rec) in dataset.scan_ids().zip(records) {
             let info = dataset.scan(scan);
-            let operator = match info.operator {
-                silentcert_core::Operator::UMich => "umich",
-                silentcert_core::Operator::Rapid7 => "rapid7",
-            };
             writeln!(
                 out,
                 "{},{},{},{},{},{},{}",
                 info.day,
-                operator,
+                operator_label(info.operator),
                 rec.probed,
                 rec.answered,
                 rec.retried,
@@ -292,6 +314,67 @@ mod tests {
             );
         }
         let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn scans_csv_rows_render_like_writeln() {
+        use silentcert_core::dataset::DatasetBuilder;
+        use std::fmt::Write as _;
+        let mut config = ScaleConfig::tiny();
+        config.n_devices = 20;
+        config.n_websites = 5;
+        config.umich_scans = 2;
+        config.rapid7_scans = 1;
+        config.overlap_days = 1;
+        let sim = crate::world::simulate(&config);
+        let mut b = DatasetBuilder::new();
+        let x = b.intern_cert(sim.dataset.certs[0].clone());
+        let y = b.intern_cert(sim.dataset.certs[1].clone());
+        let early = b.add_scan(-3, Operator::UMich);
+        let late = b.add_scan(16_001, Operator::Rapid7);
+        // 1-, 2- and 3-digit octets, zero octets, both extremes.
+        let ips = [
+            "0.0.0.0",
+            "1.2.3.4",
+            "9.10.99.100",
+            "10.0.255.7",
+            "100.20.3.0",
+            "199.200.249.250",
+            "255.255.255.255",
+        ];
+        for (i, ip) in ips.iter().enumerate() {
+            let ip = ip.parse().unwrap();
+            b.add_observation(early, ip, if i % 2 == 0 { x } else { y });
+            b.add_observation(late, ip, x);
+        }
+        let d = b.finish();
+
+        // The per-field rendering the byte-level writer replaced.
+        let reference = |keep: &dyn Fn(ScanId, silentcert_net::Ipv4) -> bool| {
+            let mut out = String::new();
+            writeln!(out, "# day,operator,ip,sha256").unwrap();
+            for obs in d.observations.iter().filter(|o| keep(o.scan, o.ip)) {
+                let info = d.scan(obs.scan);
+                let operator = match info.operator {
+                    Operator::UMich => "umich",
+                    Operator::Rapid7 => "rapid7",
+                };
+                let fp = d.cert(obs.cert).fingerprint.0;
+                let fp: String = fp.iter().map(|b| format!("{b:02x}")).collect();
+                writeln!(out, "{},{},{},{}", info.day, operator, obs.ip, fp).unwrap();
+            }
+            out.into_bytes()
+        };
+        let filters: [&dyn Fn(ScanId, silentcert_net::Ipv4) -> bool; 2] =
+            [&|_, _| true, &|scan, ip| scan == late || ip.0 % 3 == 0];
+        for keep in filters {
+            let mut got = Vec::new();
+            write_scans_csv(&d, &mut got, keep).unwrap();
+            assert_eq!(
+                String::from_utf8(got).unwrap(),
+                String::from_utf8(reference(keep)).unwrap()
+            );
+        }
     }
 
     #[test]

@@ -18,6 +18,7 @@
 use crate::config::ScaleConfig;
 use rand::rngs::StdRng;
 use rand::Rng;
+use silentcert_crypto::hex;
 use silentcert_net::Ipv4;
 use silentcert_x509::pem::base64_decode;
 use std::collections::HashSet;
@@ -278,7 +279,7 @@ fn emit_block(
             format!("exported PEM not decodable: {e}"),
         )
     })?;
-    let fp_hex = hex(&silentcert_crypto::sha256(&der));
+    let fp_hex = hex::encode(&silentcert_crypto::sha256(&der));
 
     let fault = lottery(
         rng,
@@ -399,7 +400,7 @@ fn corrupt_csv(
             }
             Some(2) => match line.rsplit_once(',') {
                 Some((head, _fp)) => {
-                    let fresh = hex(&silentcert_crypto::sha256(
+                    let fresh = hex::encode(&silentcert_crypto::sha256(
                         format!("silentcert-fault-unknown-{}", ledger.csv_unknown_fp).as_bytes(),
                     ));
                     out.push_str(head);
@@ -453,16 +454,7 @@ fn row_is_well_formed(line: &str) -> bool {
     fields[0].parse::<i64>().is_ok()
         && matches!(fields[1], "umich" | "rapid7")
         && fields[2].parse::<Ipv4>().is_ok()
-        && fields[3].len() == 64
-        && fields[3].bytes().all(|b| b.is_ascii_hexdigit())
-}
-
-fn hex(bytes: &[u8]) -> String {
-    let mut s = String::with_capacity(bytes.len() * 2);
-    for b in bytes {
-        s.push_str(&format!("{b:02x}"));
-    }
-    s
+        && hex::decode_array::<32>(fields[3]).is_some()
 }
 
 #[cfg(test)]

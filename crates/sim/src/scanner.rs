@@ -30,15 +30,17 @@
 //! [`crate::export::export_corpus`]'s output byte-for-byte.
 
 use crate::config::{ConfigError, ScaleConfig};
-use crate::export::{atomic_write, export_completeness, export_roots, export_tables_filtered};
+use crate::export::{
+    atomic_write, export_completeness, export_roots, export_tables_filtered, operator_label,
+};
 use crate::faults::{lottery, NetFaultPlan};
 use crate::world::{simulate_streaming, SimOutput};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use silentcert_core::dataset::{ScanCompleteness, ScanId};
+use silentcert_crypto::hex;
 use silentcert_net::Ipv4;
 use silentcert_x509::pem::pem_encode;
-use silentcert_x509::Fingerprint;
 use std::collections::HashSet;
 use std::fmt;
 use std::fs;
@@ -97,15 +99,6 @@ impl RetryPolicy {
             silentcert_core::Operator::UMich => &config.umich_policy,
             silentcert_core::Operator::Rapid7 => &config.rapid7_policy,
         }
-    }
-}
-
-/// Snake-case `operator` label for `silentcert_sim_*` metric series
-/// (the enum's `Display` is the paper's prose name, unfit for a label).
-fn operator_label(op: silentcert_core::Operator) -> &'static str {
-    match op {
-        silentcert_core::Operator::UMich => "umich",
-        silentcert_core::Operator::Rapid7 => "rapid7",
     }
 }
 
@@ -351,15 +344,7 @@ fn probe_host(policy: &RetryPolicy, faults: &NetFaultPlan, mut rng: StdRng) -> H
 /// every field (including fault plans and retry policies), so any knob
 /// change invalidates old checkpoints.
 fn config_digest(config: &ScaleConfig) -> String {
-    hex(&silentcert_crypto::sha256(format!("{config:?}").as_bytes()))
-}
-
-fn hex(bytes: &[u8]) -> String {
-    let mut s = String::with_capacity(bytes.len() * 2);
-    for b in bytes {
-        s.push_str(&format!("{b:02x}"));
-    }
-    s
+    hex::encode(&silentcert_crypto::sha256(format!("{config:?}").as_bytes()))
 }
 
 /// Resume cursor plus accumulated per-slot results — everything a
@@ -406,7 +391,7 @@ impl Checkpoint {
         }
         s.push_str(&format!(
             "digest {}\n",
-            hex(&silentcert_crypto::sha256(s.as_bytes()))
+            hex::encode(&silentcert_crypto::sha256(s.as_bytes()))
         ));
         s
     }
@@ -429,7 +414,7 @@ impl Checkpoint {
         };
         let payload = &text[..digest_at];
         let stored = text[digest_at + "digest ".len()..].trim();
-        if stored != hex(&silentcert_crypto::sha256(payload.as_bytes())) {
+        if stored != hex::encode(&silentcert_crypto::sha256(payload.as_bytes())) {
             return Err(bad(
                 "integrity digest mismatch (truncated or corrupt checkpoint)",
             ));
@@ -530,12 +515,15 @@ pub fn run_scan(
     // Re-simulate the ideal world. Certificates are collected in sink
     // order — the same order `export_corpus` streams them — so the
     // filtered `certs.pem` stays byte-identical where nothing is dropped.
-    let mut pem_blocks: Vec<(Fingerprint, String)> = Vec::new();
+    // The sink sees each interned certificate once, in `CertId` order, so
+    // block `i` is certificate `i`.
+    let mut pem_blocks: Vec<String> = Vec::new();
     let out: SimOutput = simulate_streaming(config, &mut |cert| {
-        pem_blocks.push((cert.fingerprint(), pem_encode("CERTIFICATE", cert.to_der())));
+        pem_blocks.push(pem_encode("CERTIFICATE", cert.to_der()));
         true
     });
     let dataset = &out.dataset;
+    debug_assert_eq!(pem_blocks.len(), dataset.certs.len());
     let n_slots = dataset.scans.len();
     ckpt.completeness.resize(
         n_slots.max(ckpt.completeness.len()),
@@ -658,20 +646,21 @@ pub fn run_scan(
     // A certificate is dropped only if it *was* observed in the ideal
     // dataset and every one of those observations was lost. Chain certs
     // (CA intermediates) never have observation rows and always survive.
-    let ever_observed: HashSet<Fingerprint> = dataset
-        .observations
-        .iter()
-        .map(|o| dataset.cert(o.cert).fingerprint)
-        .collect();
-    let still_observed: HashSet<Fingerprint> = dataset
-        .observations
-        .iter()
-        .filter(|o| keep(o.scan, o.ip))
-        .map(|o| dataset.cert(o.cert).fingerprint)
-        .collect();
+    // Flags indexed by `CertId`: `(observed, still observed)`.
+    let mut seen = vec![(false, false); dataset.certs.len()];
+    let mut observations_written = 0;
+    for o in &dataset.observations {
+        let flags = &mut seen[o.cert.0 as usize];
+        flags.0 = true;
+        if keep(o.scan, o.ip) {
+            flags.1 = true;
+            observations_written += 1;
+        }
+    }
+    let survives = |&(observed, kept): &(bool, bool)| !observed || kept;
     atomic_write(&dir.join("certs.pem"), |out| {
-        for (fp, block) in &pem_blocks {
-            if !ever_observed.contains(fp) || still_observed.contains(fp) {
+        for (block, flags) in pem_blocks.iter().zip(&seen) {
+            if survives(flags) {
                 out.write_all(block.as_bytes())?;
             }
         }
@@ -685,20 +674,12 @@ pub fn run_scan(
     // The corpus is whole: the checkpoint (if any) is now stale.
     let _ = fs::remove_file(dir.join(CHECKPOINT_FILE));
 
-    let observations_written = dataset
-        .observations
-        .iter()
-        .filter(|o| keep(o.scan, o.ip))
-        .count();
     let dropped_hosts = ckpt
         .completeness
         .iter()
         .map(ScanCompleteness::lost_hosts)
         .sum();
-    let certs_written = pem_blocks
-        .iter()
-        .filter(|(fp, _)| !ever_observed.contains(fp) || still_observed.contains(fp))
-        .count();
+    let certs_written = seen.iter().filter(|flags| survives(flags)).count();
     Ok(ScanOutcome::Complete(Box::new(ScanRunReport {
         completeness: ckpt.completeness,
         dropped_hosts,

@@ -141,7 +141,8 @@ pub fn simulate(config: &ScaleConfig) -> SimOutput {
 
 /// Run the simulation, streaming every newly generated unique certificate
 /// (device, website leaf, and CA intermediate) to `sink` — used by the
-/// corpus exporter so full DER never has to be held in memory.
+/// corpus exporter so full DER never has to be held in memory. The sink
+/// sees each interned certificate exactly once, in `CertId` order.
 ///
 /// `sink` returns whether it wants more certificates; once it returns
 /// `false` (e.g. a disk write failed) it is never invoked again, so a
@@ -211,8 +212,7 @@ pub fn simulate_streaming(
         .iter()
         .map(|b| {
             let class = validator.classify(&b.intermediate, &[]);
-            sink(&b.intermediate);
-            builder.intern_cert(CertMeta::from_certificate(&b.intermediate, class))
+            intern_streamed(&mut builder, sink, &b.intermediate, class)
         })
         .collect();
 
@@ -473,8 +473,7 @@ pub fn simulate_streaming(
             let w = &websites[wk.idx];
             let st = &mut site_states[wk.idx];
             if let Some((cert, class)) = built {
-                sink(&cert);
-                st.cert = Some(builder.intern_cert(CertMeta::from_certificate(&cert, class)));
+                st.cert = Some(intern_streamed(&mut builder, sink, &cert, class));
                 st.dirty = false;
                 stats.site_certs_generated += 1;
             }
@@ -599,17 +598,27 @@ fn intern_device_cert(
     profile: &VendorProfile,
     sink: &mut dyn FnMut(&Certificate),
 ) -> CertId {
-    let fp = cert.fingerprint();
-    let id = match builder.cert_id(&fp) {
+    let id = intern_streamed(builder, sink, cert, class);
+    truth.record(id, device.id);
+    truth.device_vendor.insert(device.id, profile.tag);
+    id
+}
+
+/// Intern `cert`, streaming it to `sink` only when its fingerprint is
+/// new: the sink sees each interned certificate once, in `CertId` order.
+fn intern_streamed(
+    builder: &mut DatasetBuilder,
+    sink: &mut dyn FnMut(&Certificate),
+    cert: &Certificate,
+    class: Classification,
+) -> CertId {
+    match builder.cert_id(&cert.fingerprint()) {
         Some(id) => id,
         None => {
             sink(cert);
             builder.intern_cert(CertMeta::from_certificate(cert, class))
         }
-    };
-    truth.record(id, device.id);
-    truth.device_vendor.insert(device.id, profile.tag);
-    id
+    }
 }
 
 #[cfg(test)]

@@ -32,7 +32,7 @@ impl fmt::Display for Fingerprint {
 impl Fingerprint {
     /// Full lowercase hex.
     pub fn to_hex(self) -> String {
-        self.0.iter().map(|b| format!("{b:02x}")).collect()
+        silentcert_crypto::hex::encode(&self.0)
     }
 }
 
@@ -380,7 +380,7 @@ impl Certificate {
 
     /// Serial number as lowercase hex.
     pub fn serial_hex(&self) -> String {
-        self.serial.iter().map(|b| format!("{b:02x}")).collect()
+        silentcert_crypto::hex::encode(&self.serial)
     }
 }
 

@@ -61,13 +61,11 @@ impl GeneralName {
         match self {
             GeneralName::Dns(s) | GeneralName::Email(s) | GeneralName::Uri(s) => s.clone(),
             GeneralName::Ip(o) => format!("{}.{}.{}.{}", o[0], o[1], o[2], o[3]),
-            GeneralName::Other(n, data) => format!("[{n}]{}", hex(data)),
+            GeneralName::Other(n, data) => {
+                format!("[{n}]{}", silentcert_crypto::hex::encode(data))
+            }
         }
     }
-}
-
-fn hex(bytes: &[u8]) -> String {
-    bytes.iter().map(|b| format!("{b:02x}")).collect()
 }
 
 /// KeyUsage named bits (RFC 5280 §4.2.1.3), LSB-first flags.
