@@ -356,23 +356,8 @@ impl BigUint {
     /// return identical values for identical inputs.
     ///
     /// Panics if `modulus` is zero.
-    ///
-    /// When [`obs::modpow_timing`](crate::obs::modpow_timing) is on, each
-    /// call's wall-clock duration is recorded into the global
-    /// `silentcert_crypto_modpow_us` histogram; otherwise the probe costs
-    /// one relaxed atomic load.
     pub fn modpow(&self, exp: &BigUint, modulus: &BigUint) -> BigUint {
-        if !crate::obs::modpow_timing() {
-            return self.modpow_inner(exp, modulus);
-        }
-        let start = std::time::Instant::now();
-        let r = self.modpow_inner(exp, modulus);
-        crate::obs::modpow_us().record(start.elapsed().as_micros() as u64);
-        r
-    }
-
-    fn modpow_inner(&self, exp: &BigUint, modulus: &BigUint) -> BigUint {
-        if modulus.is_even() || crate::perf::baseline_mode() {
+        if modulus.is_even() {
             return self.modpow_legacy(exp, modulus);
         }
         if modulus == &BigUint::one() {
@@ -387,8 +372,8 @@ impl BigUint {
     /// `self^exp mod modulus` by plain square-and-multiply (left-to-right)
     /// with a full `div_rem` reduction per step.
     ///
-    /// Retained as the even-modulus path and as the baseline oracle the
-    /// Montgomery path is property-tested and benchmarked against.
+    /// Retained as the even-modulus path and as the oracle the Montgomery
+    /// path is property-tested against.
     ///
     /// Panics if `modulus` is zero.
     pub fn modpow_legacy(&self, exp: &BigUint, modulus: &BigUint) -> BigUint {

@@ -29,8 +29,6 @@ pub mod entropy;
 pub mod hex;
 pub mod hmac;
 pub mod keyfile;
-pub mod obs;
-pub mod perf;
 pub mod prime;
 pub mod rsa;
 pub mod sha1;

@@ -196,15 +196,15 @@ impl RsaKeyPair {
         let em = emsa_pkcs1_v15(msg, k);
         let m = BigUint::from_bytes_be(&em);
         let s = match &self.crt {
-            Some(crt) if !crate::perf::baseline_mode() => crt.private_op(&m),
-            _ => m.modpow(&self.d, &self.public.n),
+            Some(crt) => crt.private_op(&m),
+            None => m.modpow(&self.d, &self.public.n),
         };
         s.to_bytes_be_padded(k)
     }
 
     /// Sign `msg` via the pre-optimization path: no CRT, legacy
-    /// square-and-multiply `modpow`. Retained as the benchmark baseline and
-    /// the oracle the fast path is property-tested against.
+    /// square-and-multiply `modpow`. Retained as the oracle the fast path
+    /// is property-tested against.
     pub fn sign_baseline(&self, msg: &[u8]) -> Vec<u8> {
         let k = self.public.modulus_len();
         let em = emsa_pkcs1_v15(msg, k);

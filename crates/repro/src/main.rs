@@ -9,7 +9,6 @@
 //! repro export <dir> [--scale ...] [--chaos]   # write an ideal corpus to disk
 //! repro scan <dir> [--net-chaos] [--kill-after N] [--resume]
 //! repro ingest <dir> [--lenient]               # load a corpus, print headline
-//! repro bench [out.json] [--quick]    # before/after perf report (BENCH.json)
 //! repro serve [--addr H:P] [--workers N] [--journal F]   # validation daemon
 //! repro cluster [--shards N] [--admin]        # supervised shard fleet + router
 //! repro loadgen --addr H:P [--requests N] [--chaos]      # chaos load client
@@ -25,7 +24,6 @@
 //! text exposition when FILE ends in `.prom`, JSON otherwise) — see
 //! DESIGN.md §11.
 
-mod bench;
 mod cluster_cmd;
 mod experiments;
 mod fuzz_cmd;
@@ -52,7 +50,6 @@ fn usage() -> ! {
          \x20 export <dir>       write an ideal scan corpus to disk\n\
          \x20 scan <dir>         run the probe-level scan runtime into <dir>\n\
          \x20 ingest <dir>       load a corpus from disk, print its headline\n\
-         \x20 bench [out.json]   before/after perf report (default: BENCH.json)\n\
          \x20 serve              run the validation daemon (trust store from\n\
          \x20                    the simulated ecosystem; drain via shutdown op)\n\
          \x20 cluster            run N supervised serve shards behind the\n\
@@ -106,10 +103,6 @@ fn usage() -> ! {
          \x20 --strict           fail on the first corrupt record (default)\n\
          \x20 --quarantine DIR   preserve corrupt payloads under DIR, one\n\
          \x20                    file per record (implies --lenient)\n\
-         \n\
-         options for bench:\n\
-         \x20 --quick            fewer iterations (CI mode); the pipeline\n\
-         \x20                    stage defaults to --scale tiny either way\n\
          \n\
          options for serve:\n\
          \x20 --addr HOST:PORT   bind address (default 127.0.0.1:0)\n\
@@ -235,13 +228,11 @@ fn run() {
     let mut dir: Option<String> = None;
     let mut corpus: Option<String> = None;
     let mut scale = "small".to_string();
-    let mut scale_set = false;
     let mut seed: Option<u64> = None;
     let mut lenient = false;
     let mut chaos = false;
     let mut net_chaos = false;
     let mut resume = false;
-    let mut quick = false;
     let mut kill_after: Option<u64> = None;
     let mut addr: Option<String> = None;
     let mut workers: usize = 4;
@@ -291,7 +282,6 @@ fn run() {
             "--chaos" => chaos = true,
             "--net-chaos" => net_chaos = true,
             "--resume" => resume = true,
-            "--quick" => quick = true,
             "--chaos-ops" => chaos_ops = true,
             "--admin" => admin_ops = true,
             "--reconfigure" => {
@@ -577,7 +567,6 @@ fn run() {
                     .get(i)
                     .cloned()
                     .unwrap_or_else(|| die("'--scale' expects tiny|small|default"));
-                scale_set = true;
             }
             "--seed" => {
                 i += 1;
@@ -636,12 +625,6 @@ fn run() {
         });
     }
 
-    // The bench pipeline stage re-runs the whole scan twice; default it
-    // to the smallest scale unless one was asked for explicitly.
-    if which == "bench" && !scale_set {
-        scale = "tiny".to_string();
-    }
-
     let mut config = match scale.as_str() {
         "tiny" => ScaleConfig::tiny(),
         "small" => ScaleConfig::small(),
@@ -657,11 +640,6 @@ fn run() {
         die(&format!("invalid config: {e}"));
     }
 
-    if which == "bench" {
-        let out = std::path::PathBuf::from(dir.unwrap_or_else(|| "BENCH.json".to_string()));
-        bench::run(&config, &scale, quick, &out);
-        return;
-    }
     if which == "serve" {
         serve_cmd::run_serve(
             &config,
@@ -865,6 +843,18 @@ fn run() {
         return;
     }
 
+    // Resolve the command before simulating or ingesting, which can take
+    // minutes: a typo fails at once.
+    let experiment = match which.as_str() {
+        "plots" | "summary" | "all" => None,
+        name => Some(
+            experiments::CATALOGUE
+                .iter()
+                .find(|e| e.name == name)
+                .unwrap_or_else(|| die(&format!("unknown command or experiment '{which}'"))),
+        ),
+    };
+
     let ctx = if let Some(corpus) = &corpus {
         let dir = std::path::PathBuf::from(corpus);
         info!("ingesting corpus from {} ...", dir.display());
@@ -918,11 +908,8 @@ fn run() {
         }
         return;
     }
-    match experiments::CATALOGUE.iter().find(|e| e.name == which) {
-        Some(e) => {
-            println!("## {} — {}\n", e.name, e.title);
-            (e.run)(&ctx)
-        }
-        None => die(&format!("unknown command or experiment '{which}'")),
+    if let Some(e) = experiment {
+        println!("## {} — {}\n", e.name, e.title);
+        (e.run)(&ctx)
     }
 }

@@ -250,7 +250,7 @@ impl LoadReport {
         }
     }
 
-    /// One-line JSON rendering for reports and BENCH.json embedding.
+    /// One-line JSON rendering: the report `repro loadgen` prints.
     pub fn to_json(&self) -> String {
         let mut out = format!(
             concat!(

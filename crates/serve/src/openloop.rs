@@ -65,14 +65,8 @@ mod imp {
     /// this much is unflushed, bounding memory at huge connection counts.
     const MAX_OUT: usize = 64 * 1024;
     /// Abort the run if nothing completes for this long (a wedged server
-    /// must fail the run, not hang it). Overridable for tests via
-    /// `SILENTCERT_LOADGEN_STALL_MS`.
-    fn stall_abort_ms() -> u64 {
-        std::env::var("SILENTCERT_LOADGEN_STALL_MS")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(30_000)
-    }
+    /// must fail the run, not hang it).
+    const STALL_ABORT: Duration = Duration::from_millis(30_000);
 
     struct ClientConn {
         stream: TcpStream,
@@ -166,7 +160,6 @@ mod imp {
         let mut sent_total = 0usize;
         let mut kill_fired = false;
         let mut admin = AdminDriver::new(opts);
-        let stall_abort = stall_abort_ms();
         let mut last_progress = Instant::now();
         let mut events: Vec<Event> = Vec::new();
         let mut scratch = vec![0u8; 64 * 1024];
@@ -237,7 +230,7 @@ mod imp {
             {
                 break;
             }
-            if last_progress.elapsed() >= Duration::from_millis(stall_abort) {
+            if last_progress.elapsed() >= STALL_ABORT {
                 // Wedged: every conn still unfinished counts as a
                 // transport failure so CI sees a hard signal.
                 let mut stuck = 0u64;

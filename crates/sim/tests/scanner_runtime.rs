@@ -213,53 +213,66 @@ fn lossy_runs_are_deterministic() {
 /// The probe loop fans out across worker threads (and the simulation's
 /// certificate generation fans out under the process-wide knob), yet the
 /// corpus on disk must not change by a single byte. This pins the
-/// determinism contract `silentcert_core::par` promises.
+/// determinism contract `silentcert_core::par` promises. The second input
+/// puts two CA brands on RSA (the tiny scale has none), so RSA chain
+/// signing and verification run through the threaded scan too.
 #[test]
 fn parallel_run_scan_is_byte_identical_to_serial() {
-    let mut config = test_config();
-    config.net_faults = NetFaultPlan::chaos();
-    config.umich_policy.scan_deadline_ms = Some(40_000);
+    for rsa_ca_count in [0, 2] {
+        let mut config = test_config();
+        config.rsa_ca_count = rsa_ca_count;
+        config.net_faults = NetFaultPlan::chaos();
+        config.umich_policy.scan_deadline_ms = Some(40_000);
 
-    let (ser, par) = (tempdir("bytes-ser"), tempdir("bytes-par"));
-    silentcert_core::par::set_threads(1);
-    let ScanOutcome::Complete(a) = run_scan(
-        &config,
-        &ser,
-        &ScanOptions {
-            threads: 1,
-            ..ScanOptions::default()
-        },
-    )
-    .unwrap() else {
-        panic!("serial run did not complete")
-    };
-    silentcert_core::par::set_threads(3);
-    let ScanOutcome::Complete(b) = run_scan(
-        &config,
-        &par,
-        &ScanOptions {
-            threads: 4,
-            ..ScanOptions::default()
-        },
-    )
-    .unwrap() else {
-        panic!("parallel run did not complete")
-    };
-    silentcert_core::par::set_threads(0);
+        let ser = tempdir(&format!("bytes-ser-rsa{rsa_ca_count}"));
+        let par = tempdir(&format!("bytes-par-rsa{rsa_ca_count}"));
+        silentcert_core::par::set_threads(1);
+        let ScanOutcome::Complete(a) = run_scan(
+            &config,
+            &ser,
+            &ScanOptions {
+                threads: 1,
+                ..ScanOptions::default()
+            },
+        )
+        .unwrap() else {
+            panic!("serial run did not complete")
+        };
+        silentcert_core::par::set_threads(3);
+        let ScanOutcome::Complete(b) = run_scan(
+            &config,
+            &par,
+            &ScanOptions {
+                threads: 4,
+                ..ScanOptions::default()
+            },
+        )
+        .unwrap() else {
+            panic!("parallel run did not complete")
+        };
+        silentcert_core::par::set_threads(0);
 
-    assert_eq!(a, b, "reports diverge between serial and parallel runs");
-    for f in [
-        "certs.pem",
-        "scans.csv",
-        "completeness.csv",
-        "routing.csv",
-        "asdb.csv",
-        "roots.pem",
-    ] {
-        assert_eq!(read(&ser, f), read(&par, f), "{f} differs under threading");
+        assert_eq!(
+            a, b,
+            "reports diverge between serial and parallel runs (rsa_ca_count {rsa_ca_count})"
+        );
+        for f in [
+            "certs.pem",
+            "scans.csv",
+            "completeness.csv",
+            "routing.csv",
+            "asdb.csv",
+            "roots.pem",
+        ] {
+            assert_eq!(
+                read(&ser, f),
+                read(&par, f),
+                "{f} differs under threading (rsa_ca_count {rsa_ca_count})"
+            );
+        }
+        let _ = fs::remove_dir_all(&ser);
+        let _ = fs::remove_dir_all(&par);
     }
-    let _ = fs::remove_dir_all(&ser);
-    let _ = fs::remove_dir_all(&par);
 }
 
 proptest! {
