@@ -250,8 +250,7 @@ impl Link {
 /// [`Router::wait`], after the loop has exited), so its lock is never
 /// contended.
 struct Relay {
-    /// The loop's poller; absent off Linux, where the blocking fallback
-    /// forwards instead.
+    /// The loop's poller, lent at [`Service::on_attach`].
     io: Option<LoopIo>,
     /// Every admitted forward not yet answered.
     forwards: HashMap<u64, Forward>,
@@ -393,7 +392,6 @@ impl Router {
         let core_config = CoreConfig {
             read_timeout_ms: config.client_read_timeout_ms,
             max_frame_bytes: config.max_frame_bytes,
-            response_wait_ms: config.shard_timeout_ms + config.hedge_after_ms + 1_000,
             ..CoreConfig::default()
         };
         let clock: Arc<dyn Clock> = Arc::new(SystemClock::new());
@@ -844,35 +842,26 @@ impl Shared {
             ));
             return;
         };
-        #[cfg(not(target_os = "linux"))]
-        {
-            let resp = blocking::forward(self, &line, &id, &key, primary, &addr, done.token());
-            self.directory.complete(epoch);
-            done.fill(resp);
-        }
-        #[cfg(target_os = "linux")]
-        {
-            let now = self.clock.now_ms();
-            let mut relay = self.relay();
-            let r = &mut *relay;
-            let fwd = r.next_fwd;
-            r.next_fwd += 1;
-            r.forwards.insert(
-                fwd,
-                Forward {
-                    line,
-                    id,
-                    key,
-                    primary,
-                    epoch,
-                    done,
-                    attempt: 1,
-                    addr: String::new(),
-                    queued: false,
-                },
-            );
-            self.dispatch(r, Attempt { fwd, n: 1 }, addr, now);
-        }
+        let now = self.clock.now_ms();
+        let mut relay = self.relay();
+        let r = &mut *relay;
+        let fwd = r.next_fwd;
+        r.next_fwd += 1;
+        r.forwards.insert(
+            fwd,
+            Forward {
+                line,
+                id,
+                key,
+                primary,
+                epoch,
+                done,
+                attempt: 1,
+                addr: String::new(),
+                queued: false,
+            },
+        );
+        self.dispatch(r, Attempt { fwd, n: 1 }, addr, now);
     }
 
     /// Put attempt `at` on the link to `addr`: onto the wire if the
@@ -1141,87 +1130,6 @@ fn health_fields(directory: &Directory) -> Vec<(&'static str, String)> {
         ("shards_total", total.to_string()),
         ("shards", shards),
     ]
-}
-
-/// Off Linux there is no poller to pipeline on: each attempt is one
-/// blocking round trip on the client connection's own thread, with the
-/// same hedge/retry, budget and counters as the loop path.
-#[cfg(not(target_os = "linux"))]
-mod blocking {
-    use super::*;
-    use std::io::{BufRead, BufReader};
-
-    fn round_trip(
-        addr: &str,
-        line: &str,
-        connect_ms: u64,
-        timeout_ms: u64,
-    ) -> Result<String, Failure> {
-        let sock: SocketAddr = addr.parse().map_err(|_| Failure::Transport)?;
-        let connect = Duration::from_millis(connect_ms.max(1));
-        let mut stream =
-            TcpStream::connect_timeout(&sock, connect).map_err(|_| Failure::Transport)?;
-        let io_timeout = Some(Duration::from_millis(timeout_ms.max(1)));
-        stream
-            .set_read_timeout(io_timeout)
-            .and_then(|()| stream.set_write_timeout(io_timeout))
-            .and_then(|()| stream.write_all(format!("{line}\n").as_bytes()))
-            .map_err(|_| Failure::Transport)?;
-        let mut resp = String::new();
-        match BufReader::new(stream).read_line(&mut resp) {
-            Ok(0) => Err(Failure::Transport),
-            Ok(_) => Ok(resp.trim_end().to_string()),
-            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
-                Err(Failure::Timeout)
-            }
-            Err(_) => Err(Failure::Transport),
-        }
-    }
-
-    pub(super) fn forward(
-        shared: &Shared,
-        line: &str,
-        id: &str,
-        key: &[u8],
-        primary: u32,
-        addr: &str,
-        token: Token,
-    ) -> String {
-        let c = &shared.config;
-        let why = match round_trip(addr, line, c.connect_timeout_ms, c.hedge_after_ms) {
-            Ok(resp) => {
-                shared.stats.relayed.inc();
-                return resp;
-            }
-            Err(why) => why,
-        };
-        if !shared.try_debit(token) {
-            shared.stats.refused_budget.inc();
-            return protocol::error_line(id, code::UNAVAILABLE, "retry budget exhausted");
-        }
-        match why {
-            Failure::Timeout => shared.stats.hedges.inc(),
-            Failure::Transport => shared.stats.retries.inc(),
-        }
-        let (_, next) = shared
-            .directory
-            .route_successor(key, &[primary])
-            .unwrap_or_else(|| (primary, addr.to_string()));
-        match round_trip(&next, line, c.connect_timeout_ms, c.shard_timeout_ms) {
-            Ok(resp) => {
-                shared.stats.relayed.inc();
-                resp
-            }
-            Err(_) => {
-                shared.stats.refused_failed.inc();
-                protocol::error_line(
-                    id,
-                    code::UNAVAILABLE,
-                    "shard and successor both unavailable",
-                )
-            }
-        }
-    }
 }
 
 #[cfg(test)]

@@ -228,7 +228,6 @@ impl ShardState {
     }
 }
 
-#[cfg(unix)]
 fn send_sigterm(child: &Child) {
     extern "C" {
         fn kill(pid: i32, sig: i32) -> i32;
@@ -236,12 +235,6 @@ fn send_sigterm(child: &Child) {
     unsafe {
         kill(child.id() as i32, 15);
     }
-}
-
-#[cfg(not(unix))]
-fn send_sigterm(child: &Child) {
-    // No graceful signal off Unix; the drain deadline will SIGKILL.
-    let _ = child;
 }
 
 impl Supervisor {

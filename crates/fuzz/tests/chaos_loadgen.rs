@@ -82,7 +82,6 @@ fn mutated_loadgen_drains_clean_with_every_500_journaled() {
             addr,
             connections: 4,
             requests: 300,
-            qps: 0,
             faults: ClientFaultPlan {
                 disconnect_rate: 0.02,
                 garbage_rate: 0.03,

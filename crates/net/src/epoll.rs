@@ -13,8 +13,6 @@
 //! naturally aligned everywhere else; getting this wrong corrupts every
 //! event's `data` field, so the layout is pinned by a test below.
 
-#![cfg(target_os = "linux")]
-
 use std::io;
 use std::os::unix::io::RawFd;
 use std::sync::Arc;

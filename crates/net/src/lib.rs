@@ -6,7 +6,8 @@
 //! [`RoutingHistory`]), the AS classification dataset ([`AsType`]), and the
 //! AS-to-organization dataset (country codes on [`AsInfo`]). It also
 //! hosts the consistent-hash [`Ring`] the cluster router uses to place
-//! request fingerprints onto daemon shards.
+//! request fingerprints onto daemon shards, and (Linux only) the `epoll`
+//! wrapper and `scatter` client the serve tier's sockets run on.
 
 pub mod asdb;
 #[cfg(target_os = "linux")]
@@ -14,6 +15,7 @@ pub mod epoll;
 pub mod ip;
 pub mod prefix;
 pub mod ring;
+#[cfg(target_os = "linux")]
 pub mod scatter;
 pub mod table;
 
@@ -21,5 +23,4 @@ pub use asdb::{AsDatabase, AsInfo, AsNumber, AsType};
 pub use ip::Ipv4;
 pub use prefix::Prefix;
 pub use ring::{EpochRing, Ring};
-pub use scatter::{scatter_lines, ScatterTarget};
 pub use table::{PrefixTable, RoutingHistory};

@@ -256,7 +256,9 @@ impl Tracer {
         level_to_usize(level) <= self.level.load(Ordering::Relaxed)
     }
 
-    fn now_ms(&self) -> u64 {
+    /// The tracer's own clock: the time base of every record's `ts_ms`
+    /// (and of [`Tracer::record_span`]'s `start_ms`).
+    pub fn now_ms(&self) -> u64 {
         self.clock.read().unwrap().now_ms()
     }
 

@@ -149,7 +149,6 @@ fn usage() -> ! {
          \x20 --addr HOST:PORT   daemon to target (required)\n\
          \x20 --requests N       total requests to send (default 1000)\n\
          \x20 --connections N    concurrent connections (default 4)\n\
-         \x20 --qps N            aggregate target rate (default: unpaced)\n\
          \x20 --chaos            transport chaos: slow-loris, disconnects,\n\
          \x20                    oversize and garbage frames\n\
          \x20 --chaos-panics     mix chaos_panic frames into the corpus\n\
@@ -162,12 +161,9 @@ fn usage() -> ! {
          \x20                    25%, remove newest at 50%, rolling restart\n\
          \x20                    at 75%; \"rolling\" = rolling restart at 50%\n\
          \x20 --shutdown         send a shutdown frame when the run ends\n\
-         \x20 --open-loop        epoll engine: one thread multiplexes all\n\
-         \x20                    connections (enables --connections 10000+;\n\
-         \x20                    incompatible with --chaos)\n\
-         \x20 --pipeline N       open-loop in-flight requests per connection\n\
+         \x20 --pipeline N       in-flight requests per connection\n\
          \x20                    (default 1)\n\
-         \x20 --ramp-ms N        open-loop connection ramp duration\n\
+         \x20 --ramp-ms N        connection ramp duration\n\
          \x20                    (default 0: connect all at once)\n\
          \n\
          options for fuzz:\n\
@@ -255,10 +251,8 @@ fn run() {
     let mut quarantine: Option<String> = None;
     let mut requests: usize = 1_000;
     let mut connections: usize = 4;
-    let mut qps: u64 = 0;
     let mut chaos_panics = false;
     let mut shutdown = false;
-    let mut open_loop = false;
     let mut pipeline: usize = 1;
     let mut ramp_ms: u64 = 0;
     let mut format: Option<String> = None;
@@ -296,7 +290,6 @@ fn run() {
             "--strict-workers" => strict_workers = true,
             "--chaos-panics" => chaos_panics = true,
             "--shutdown" => shutdown = true,
-            "--open-loop" => open_loop = true,
             "--pipeline" => {
                 i += 1;
                 pipeline = args
@@ -528,13 +521,6 @@ fn run() {
                     .and_then(|s| s.parse().ok())
                     .unwrap_or_else(|| die("'--connections' expects a count"));
             }
-            "--qps" => {
-                i += 1;
-                qps = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| die("'--qps' expects a rate"));
-            }
             "--threads" => {
                 i += 1;
                 let n: usize = args
@@ -686,13 +672,11 @@ fn run() {
                 addr: addr.unwrap_or_else(|| die("loadgen needs --addr HOST:PORT")),
                 requests,
                 connections,
-                qps,
                 chaos,
                 chaos_panics,
                 mutate,
                 shutdown,
                 cluster,
-                open_loop,
                 pipeline,
                 ramp_ms,
                 reconfigure,

@@ -6,8 +6,8 @@
 //! against the same `--scale`/`--seed` classifies certificates exactly
 //! as the offline pipeline would. `loadgen` replays a simulated request
 //! corpus (valid chains, chainless leaves, self-signed device certs,
-//! garbage DER) at a target QPS with optional transport chaos, and
-//! prints a latency/shed-rate report as one JSON line.
+//! garbage DER) with optional transport chaos, and prints a
+//! latency/shed-rate report as one JSON line.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -51,7 +51,6 @@ pub struct LoadgenCliOptions {
     pub addr: String,
     pub requests: usize,
     pub connections: usize,
-    pub qps: u64,
     /// Transport-level chaos (slow-loris, disconnects, oversize, garbage).
     pub chaos: bool,
     /// Mix `chaos_panic` frames into the corpus (needs `serve --chaos-ops`).
@@ -65,13 +64,9 @@ pub struct LoadgenCliOptions {
     /// Cluster chaos: mid-run, ask the router's supervisor to SIGKILL a
     /// shard (needs a `repro cluster` front with `--chaos-ops`).
     pub cluster: bool,
-    /// Use the epoll open-loop engine: one thread multiplexes every
-    /// connection, making `--connections 10000`+ feasible. Incompatible
-    /// with `--chaos` (fault injection stays on the closed loop).
-    pub open_loop: bool,
-    /// Open-loop pipelining window (in-flight requests per connection).
+    /// Pipelining window (in-flight requests per connection).
     pub pipeline: usize,
-    /// Open-loop connection ramp duration in milliseconds.
+    /// Connection ramp duration in milliseconds.
     pub ramp_ms: u64,
     /// Mid-run fleet reconfiguration against a `repro cluster --admin`
     /// front: `"full"` fires add-shard at ¼ of the sends, removes the
@@ -250,31 +245,10 @@ pub fn run_loadgen(config: &ScaleConfig, opts: &LoadgenCliOptions) -> ! {
         opts.connections,
         opts.addr
     );
-    if opts.open_loop && opts.chaos {
-        error!("--open-loop and --chaos are incompatible (fault injection needs the closed-loop engine)");
-        crate::exit(2);
-    }
-    // Cluster chaos: a shard kill fires a third of the way through the
-    // run, so the remaining two thirds exercise the failover + restart
-    // window. The closed loop keys the trigger off worker 0's request
-    // index; the open loop keys it off the aggregate send count.
-    let kill_shard_at = if opts.cluster {
-        if opts.open_loop {
-            Some((opts.requests / 3).max(1))
-        } else {
-            let per_worker = opts.requests / opts.connections.max(1);
-            Some((per_worker / 3).max(1))
-        }
-    } else {
-        None
-    };
-    if let Some(at) = kill_shard_at {
-        info!("cluster chaos armed: shard kill at request {at}");
-    }
     // Mid-run reconfiguration: admin frames fire at send-count
     // thresholds spread through the run, so every topology transition
     // happens under live load.
-    let admin_frames = match opts.reconfigure.as_deref() {
+    let mut admin_frames = match opts.reconfigure.as_deref() {
         Some("full") => vec![
             (
                 (opts.requests / 4).max(1),
@@ -309,20 +283,25 @@ pub fn run_loadgen(config: &ScaleConfig, opts: &LoadgenCliOptions) -> ! {
             admin_frames.len()
         );
     }
+    // Cluster chaos: a shard kill fires a third of the way through the
+    // run, so the remaining two thirds exercise the failover + restart
+    // window.
+    if opts.cluster {
+        let at = (opts.requests / 3).max(1);
+        info!("cluster chaos armed: shard kill at request {at}");
+        admin_frames.push((at, loadgen::AdminAction::KillShard));
+    }
     let report = loadgen::run(
         &LoadgenOptions {
             addr: opts.addr.clone(),
             connections: opts.connections,
             requests: opts.requests,
-            qps: opts.qps,
             faults: if opts.chaos {
                 ClientFaultPlan::chaos()
             } else {
                 ClientFaultPlan::default()
             },
             seed: config.seed ^ 0xc11e47,
-            kill_shard_at,
-            open_loop: opts.open_loop,
             pipeline: opts.pipeline,
             ramp_ms: opts.ramp_ms,
             admin_frames,
@@ -352,9 +331,9 @@ pub fn run_loadgen(config: &ScaleConfig, opts: &LoadgenCliOptions) -> ! {
     }
     if report.admin_failures > 0 {
         error!(
-            "{} reconfiguration frames failed (of {})",
+            "{} admin actions failed (of {})",
             report.admin_failures,
-            report.admin_failures + report.admin_ops
+            report.admin_failures + report.admin_ops + report.cluster_kills
         );
         crate::exit(1);
     }

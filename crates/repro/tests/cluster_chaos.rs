@@ -174,7 +174,6 @@ fn open_loop_fan_in_survives_shard_kill() {
             "6000",
             "--connections",
             "256",
-            "--open-loop",
             "--pipeline",
             "2",
             "--cluster",

@@ -75,7 +75,6 @@ fn full_reconfiguration_under_load_loses_nothing() {
             "4000",
             "--connections",
             "64",
-            "--open-loop",
             "--pipeline",
             "2",
             "--reconfigure",

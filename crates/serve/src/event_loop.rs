@@ -29,16 +29,20 @@
 //! Slow-loris cutoffs ride the loop's own timer wheel: each read that
 //! leaves a partial frame re-arms a deadline; a deadline that fires
 //! while the frame is still partial cuts the connection with **zero
-//! worker involvement**. On non-Linux hosts a blocking
-//! thread-per-connection fallback drives the same [`Service`] through
-//! the same [`FrameScanner`], so behaviour (not performance) is
-//! portable.
+//! worker involvement**.
 
+use crate::clock::Clock;
 use crate::framing::{FrameScanner, Scan};
+use crate::timer::TimerWheel;
+use silentcert_net::epoll::{Poller, Registrar, WakeFd, EPOLLIN, EPOLLOUT, EPOLLRDHUP};
 use silentcert_obs::metrics::{Counter, Gauge, Histogram, Registry};
+use std::collections::{HashMap, VecDeque};
+use std::io::{self, ErrorKind, Read, Write};
+use std::net::{TcpListener, TcpStream};
+use std::os::unix::io::{AsRawFd, RawFd};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
-use std::time::Duration;
+use std::sync::{Arc, Mutex};
+use std::thread::JoinHandle;
 
 /// Identifies one connection within the loop (`u64` so it doubles as the
 /// epoll registration's user data).
@@ -53,7 +57,6 @@ pub const WAKE: Token = u64::MAX;
 /// benign); the loop then `take`s the line exactly once for write-back.
 pub struct ResponseSlot {
     state: Mutex<SlotState>,
-    filled: Condvar,
 }
 
 enum SlotState {
@@ -67,7 +70,6 @@ impl ResponseSlot {
     pub fn new() -> ResponseSlot {
         ResponseSlot {
             state: Mutex::new(SlotState::Empty),
-            filled: Condvar::new(),
         }
     }
 
@@ -78,8 +80,6 @@ impl ResponseSlot {
             return false;
         }
         *s = SlotState::Filled(line);
-        drop(s);
-        self.filled.notify_all();
         true
     }
 
@@ -97,26 +97,6 @@ impl ResponseSlot {
             }
         }
         None
-    }
-
-    /// Block up to `timeout` for a response (blocking-fallback side; the
-    /// line is cloned, not consumed).
-    pub fn wait(&self, timeout: Duration) -> Option<String> {
-        let deadline = std::time::Instant::now() + timeout;
-        let mut s = self.state.lock().unwrap();
-        loop {
-            match &*s {
-                SlotState::Filled(line) => return Some(line.clone()),
-                SlotState::Consumed => return None,
-                SlotState::Empty => {}
-            }
-            let left = deadline.saturating_duration_since(std::time::Instant::now());
-            if left.is_zero() {
-                return None;
-            }
-            let (guard, _) = self.filled.wait_timeout(s, left).unwrap();
-            s = guard;
-        }
     }
 }
 
@@ -147,8 +127,8 @@ struct NotifierInner {
 }
 
 impl Notifier {
-    /// A notifier whose `notify` is a no-op (blocking fallback: the
-    /// connection thread waits on the slot's condvar instead).
+    /// A notifier whose `notify` is a no-op: a placeholder until the
+    /// loop is running.
     pub fn disabled() -> Notifier {
         Notifier { inner: None }
     }
@@ -272,8 +252,7 @@ pub trait Service: Send + Sync + 'static {
 
     /// The loop is starting: `io` registers the service's own
     /// non-blocking sockets on the loop's poller. Called once, before the
-    /// first frame; the non-Linux fallback has no poller and never calls
-    /// it.
+    /// first frame.
     fn on_attach(&self, _io: LoopIo) {}
 
     /// Readiness on a socket registered through [`LoopIo`], under the
@@ -315,9 +294,6 @@ pub struct CoreConfig {
     pub max_pending_per_conn: usize,
     /// Read interest pauses while this much output awaits the peer.
     pub max_write_buffer: usize,
-    /// Blocking-fallback only: how long a connection thread waits for a
-    /// response before giving up on the daemon.
-    pub response_wait_ms: u64,
 }
 
 impl Default for CoreConfig {
@@ -328,7 +304,6 @@ impl Default for CoreConfig {
             max_frame_bytes: 1 << 20,
             max_pending_per_conn: 256,
             max_write_buffer: 256 * 1024,
-            response_wait_ms: 30_000,
         }
     }
 }
@@ -369,707 +344,530 @@ impl LoopStats {
     }
 }
 
-#[cfg(target_os = "linux")]
-mod imp {
-    use super::*;
-    use crate::clock::Clock;
-    use crate::timer::TimerWheel;
-    use silentcert_net::epoll::{Poller, Registrar, WakeFd, EPOLLIN, EPOLLOUT, EPOLLRDHUP};
-    use std::collections::{HashMap, VecDeque};
-    use std::io::{self, ErrorKind, Read, Write};
-    use std::net::{TcpListener, TcpStream};
-    use std::os::unix::io::{AsRawFd, RawFd};
-    use std::thread::JoinHandle;
+const LISTENER: Token = 0;
+const WAKER: Token = 1;
+const FIRST_CONN: Token = 2;
+/// Marks a registration as the service's own (see [`LoopIo`]): its
+/// events go to [`Service::on_io`], never to a client connection.
+const SERVICE_BIT: Token = 1 << 63;
+/// Reads per readiness event before yielding back to the loop
+/// (fairness under a firehose peer).
+const READS_PER_EVENT: usize = 16;
+/// How long accepting stays paused after fd exhaustion before the
+/// listener is re-armed (long enough for a close to free an fd,
+/// short enough that a recovered daemon answers promptly).
+const ACCEPT_PAUSE_MS: u64 = 50;
+/// `EMFILE`/`ENFILE`: the process (or system) fd table is full.
+const FD_EXHAUSTED: [i32; 2] = [23, 24];
 
-    const LISTENER: Token = 0;
-    const WAKER: Token = 1;
-    const FIRST_CONN: Token = 2;
-    /// Marks a registration as the service's own (see [`LoopIo`]): its
-    /// events go to [`Service::on_io`], never to a client connection.
-    const SERVICE_BIT: Token = 1 << 63;
-    /// Reads per readiness event before yielding back to the loop
-    /// (fairness under a firehose peer).
-    const READS_PER_EVENT: usize = 16;
-    /// How long accepting stays paused after fd exhaustion before the
-    /// listener is re-armed (long enough for a close to free an fd,
-    /// short enough that a recovered daemon answers promptly).
-    const ACCEPT_PAUSE_MS: u64 = 50;
-    /// `EMFILE`/`ENFILE`: the process (or system) fd table is full.
-    const FD_EXHAUSTED: [i32; 2] = [23, 24];
+/// The loop's poller as lent to its [`Service`] (see
+/// [`Service::on_attach`]). Service tokens live in their own space:
+/// any value below `2^63`, independent of client connection tokens.
+#[derive(Clone)]
+pub struct LoopIo {
+    registrar: Registrar,
+}
 
-    /// The loop's poller as lent to its [`Service`] (see
-    /// [`Service::on_attach`]). Service tokens live in their own space:
-    /// any value below `2^63`, independent of client connection tokens.
-    #[derive(Clone)]
-    pub struct LoopIo {
-        registrar: Registrar,
+impl LoopIo {
+    fn interest(write: bool) -> u32 {
+        EPOLLIN | EPOLLRDHUP | if write { EPOLLOUT } else { 0 }
     }
 
-    impl LoopIo {
-        fn interest(write: bool) -> u32 {
-            EPOLLIN | EPOLLRDHUP | if write { EPOLLOUT } else { 0 }
-        }
-
-        /// Watch non-blocking `stream` for input, and for output room
-        /// when `write` is set.
-        pub fn register(&self, stream: &TcpStream, token: Token, write: bool) -> io::Result<()> {
-            let fd = stream.as_raw_fd();
-            self.registrar
-                .add(fd, Self::interest(write), token | SERVICE_BIT)
-        }
-
-        /// Change whether `stream` is watched for output room.
-        pub fn reregister(&self, stream: &TcpStream, token: Token, write: bool) -> io::Result<()> {
-            let fd = stream.as_raw_fd();
-            self.registrar
-                .modify(fd, Self::interest(write), token | SERVICE_BIT)
-        }
-
-        /// Stop watching `stream` (before it is dropped).
-        pub fn deregister(&self, stream: &TcpStream) {
-            let _ = self.registrar.delete(stream.as_raw_fd());
-        }
+    /// Watch non-blocking `stream` for input, and for output room
+    /// when `write` is set.
+    pub fn register(&self, stream: &TcpStream, token: Token, write: bool) -> io::Result<()> {
+        let fd = stream.as_raw_fd();
+        self.registrar
+            .add(fd, Self::interest(write), token | SERVICE_BIT)
     }
 
-    /// A running event loop. Dropping the handle does NOT stop the loop —
-    /// raise [`Service::should_stop`] (and [`EventCore::notifier`]
-    /// `.notify(WAKE)`) first, then [`EventCore::join`].
-    pub struct EventCore {
-        notifier: Notifier,
-        thread: Option<JoinHandle<()>>,
+    /// Change whether `stream` is watched for output room.
+    pub fn reregister(&self, stream: &TcpStream, token: Token, write: bool) -> io::Result<()> {
+        let fd = stream.as_raw_fd();
+        self.registrar
+            .modify(fd, Self::interest(write), token | SERVICE_BIT)
     }
 
-    impl EventCore {
-        /// Spawn the loop thread over an already-bound listener.
-        pub fn start(
-            listener: TcpListener,
-            service: Arc<dyn Service>,
-            config: CoreConfig,
-            stats: LoopStats,
-            clock: Arc<dyn Clock>,
-        ) -> std::io::Result<EventCore> {
-            listener.set_nonblocking(true)?;
-            let poller = Poller::new()?;
-            let wake = Arc::new(WakeFd::new()?);
-            poller.add(listener.as_raw_fd(), EPOLLIN, LISTENER)?;
-            poller.add(wake.raw(), EPOLLIN, WAKER)?;
-            service.on_attach(LoopIo {
-                registrar: poller.registrar(),
-            });
-            let waker = Arc::clone(&wake);
-            let notifier = Notifier::new(Box::new(move || waker.wake()));
-            let loop_notifier = notifier.clone();
-            let thread = std::thread::Builder::new()
-                .name("serve-event-loop".to_string())
-                .spawn(move || {
-                    run_loop(
-                        listener,
-                        poller,
-                        wake,
-                        loop_notifier,
-                        service,
-                        config,
-                        stats,
-                        clock,
-                    );
-                })?;
-            Ok(EventCore {
-                notifier,
-                thread: Some(thread),
-            })
-        }
-
-        /// A handle for filling completions / waking the loop.
-        pub fn notifier(&self) -> Notifier {
-            self.notifier.clone()
-        }
-
-        /// Join the loop thread (after `should_stop` went true).
-        pub fn join(mut self) {
-            if let Some(t) = self.thread.take() {
-                let _ = t.join();
-            }
-        }
+    /// Stop watching `stream` (before it is dropped).
+    pub fn deregister(&self, stream: &TcpStream) {
+        let _ = self.registrar.delete(stream.as_raw_fd());
     }
+}
 
-    /// Per-connection state, owned exclusively by the loop thread.
-    struct Conn {
-        stream: TcpStream,
-        fd: RawFd,
-        scanner: FrameScanner,
-        /// Response slots in request order; only the contiguous filled
-        /// prefix is flushed.
-        pending: VecDeque<Arc<ResponseSlot>>,
-        /// Rendered output awaiting the socket.
-        out: Vec<u8>,
-        out_pos: usize,
-        /// Interest mask currently registered with epoll.
-        interest: u32,
-        /// Answer what is pending, then close (oversize, peer EOF).
-        close_after_flush: bool,
-        /// Peer sent EOF; no more reads.
-        peer_closed: bool,
-        /// Invalidates stale slow-loris timers (bumped on every read).
-        loris_epoch: u64,
-        /// Marked for removal at the next reap point.
-        dead: bool,
-    }
+/// A running event loop. Dropping the handle does NOT stop the loop —
+/// raise [`Service::should_stop`] (and [`EventCore::notifier`]
+/// `.notify(WAKE)`) first, then [`EventCore::join`].
+pub struct EventCore {
+    notifier: Notifier,
+    thread: Option<JoinHandle<()>>,
+}
 
-    impl Conn {
-        fn flushed(&self) -> bool {
-            self.pending.is_empty() && self.out_pos >= self.out.len()
-        }
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn run_loop(
+impl EventCore {
+    /// Spawn the loop thread over an already-bound listener.
+    pub fn start(
         listener: TcpListener,
-        mut poller: Poller,
-        wake: Arc<WakeFd>,
-        notifier: Notifier,
         service: Arc<dyn Service>,
         config: CoreConfig,
         stats: LoopStats,
         clock: Arc<dyn Clock>,
-    ) {
-        let tick_ms = config.tick_ms.max(1);
+    ) -> std::io::Result<EventCore> {
+        listener.set_nonblocking(true)?;
+        let poller = Poller::new()?;
+        let wake = Arc::new(WakeFd::new()?);
+        poller.add(listener.as_raw_fd(), EPOLLIN, LISTENER)?;
+        poller.add(wake.raw(), EPOLLIN, WAKER)?;
+        service.on_attach(LoopIo {
+            registrar: poller.registrar(),
+        });
+        let waker = Arc::clone(&wake);
+        let notifier = Notifier::new(Box::new(move || waker.wake()));
+        let loop_notifier = notifier.clone();
+        let thread = std::thread::Builder::new()
+            .name("serve-event-loop".to_string())
+            .spawn(move || {
+                run_loop(
+                    listener,
+                    poller,
+                    wake,
+                    loop_notifier,
+                    service,
+                    config,
+                    stats,
+                    clock,
+                );
+            })?;
+        Ok(EventCore {
+            notifier,
+            thread: Some(thread),
+        })
+    }
+
+    /// A handle for filling completions / waking the loop.
+    pub fn notifier(&self) -> Notifier {
+        self.notifier.clone()
+    }
+
+    /// Join the loop thread (after `should_stop` went true).
+    pub fn join(mut self) {
+        if let Some(t) = self.thread.take() {
+            let _ = t.join();
+        }
+    }
+}
+
+/// Per-connection state, owned exclusively by the loop thread.
+struct Conn {
+    stream: TcpStream,
+    fd: RawFd,
+    scanner: FrameScanner,
+    /// Response slots in request order; only the contiguous filled
+    /// prefix is flushed.
+    pending: VecDeque<Arc<ResponseSlot>>,
+    /// Rendered output awaiting the socket.
+    out: Vec<u8>,
+    out_pos: usize,
+    /// Interest mask currently registered with epoll.
+    interest: u32,
+    /// Answer what is pending, then close (oversize, peer EOF).
+    close_after_flush: bool,
+    /// Peer sent EOF; no more reads.
+    peer_closed: bool,
+    /// Invalidates stale slow-loris timers (bumped on every read).
+    loris_epoch: u64,
+    /// Marked for removal at the next reap point.
+    dead: bool,
+}
+
+impl Conn {
+    fn flushed(&self) -> bool {
+        self.pending.is_empty() && self.out_pos >= self.out.len()
+    }
+}
+
+#[allow(clippy::too_many_arguments)]
+fn run_loop(
+    listener: TcpListener,
+    mut poller: Poller,
+    wake: Arc<WakeFd>,
+    notifier: Notifier,
+    service: Arc<dyn Service>,
+    config: CoreConfig,
+    stats: LoopStats,
+    clock: Arc<dyn Clock>,
+) {
+    let tick_ms = config.tick_ms.max(1);
+    let now = clock.now_ms();
+    let mut conns: HashMap<Token, Conn> = HashMap::new();
+    let mut next_token = FIRST_CONN;
+    // Slow-loris deadlines: (token, epoch) pairs; an epoch mismatch
+    // means the connection made progress since the timer was armed.
+    let mut loris: TimerWheel<(Token, u64)> = TimerWheel::new(tick_ms, 1024, now);
+    let mut listener = Some(listener);
+    let listener_fd = listener.as_ref().map(|l| l.as_raw_fd()).unwrap_or(-1);
+    // While Some, accepting is paused after fd exhaustion: the
+    // listener is out of the poller until this deadline passes.
+    let mut accept_resume_at: Option<u64> = None;
+    let mut next_tick = now + tick_ms;
+    let mut stop_flush_deadline: Option<u64> = None;
+    let mut events = Vec::with_capacity(1024);
+    let mut tokens: Vec<Token> = Vec::new();
+    let mut scratch = vec![0u8; 64 * 1024];
+
+    loop {
         let now = clock.now_ms();
-        let mut conns: HashMap<Token, Conn> = HashMap::new();
-        let mut next_token = FIRST_CONN;
-        // Slow-loris deadlines: (token, epoch) pairs; an epoch mismatch
-        // means the connection made progress since the timer was armed.
-        let mut loris: TimerWheel<(Token, u64)> = TimerWheel::new(tick_ms, 1024, now);
-        let mut listener = Some(listener);
-        let listener_fd = listener.as_ref().map(|l| l.as_raw_fd()).unwrap_or(-1);
-        // While Some, accepting is paused after fd exhaustion: the
-        // listener is out of the poller until this deadline passes.
-        let mut accept_resume_at: Option<u64> = None;
-        let mut next_tick = now + tick_ms;
-        let mut stop_flush_deadline: Option<u64> = None;
-        let mut events = Vec::with_capacity(1024);
-        let mut tokens: Vec<Token> = Vec::new();
-        let mut scratch = vec![0u8; 64 * 1024];
 
-        loop {
-            let now = clock.now_ms();
-
-            // Housekeeping tick.
-            if now >= next_tick {
-                stats.lag_ms.record(now.saturating_sub(next_tick));
-                service.on_tick(now);
-                for (token, epoch) in loris.advance(now) {
-                    if let Some(conn) = conns.get_mut(&token) {
-                        if !conn.dead && conn.loris_epoch == epoch && conn.scanner.has_partial() {
-                            service.on_slow_loris();
-                            conn.dead = true;
-                        }
-                    }
-                    reap(&mut conns, token, &poller, &service);
-                }
-                next_tick = now + tick_ms;
-            }
-
-            // Re-arm a paused listener once the backoff elapsed (a
-            // closed connection has likely freed an fd by now).
-            if let Some(resume) = accept_resume_at {
-                if now >= resume {
-                    match &listener {
-                        Some(l) if poller.add(l.as_raw_fd(), EPOLLIN, LISTENER).is_err() => {
-                            // Still starved (the poller add itself can
-                            // hit fd pressure); extend the pause.
-                            accept_resume_at = Some(now + ACCEPT_PAUSE_MS);
-                        }
-                        _ => {
-                            accept_resume_at = None;
-                            stats.accept_paused.set(0);
-                        }
-                    }
-                }
-            }
-
-            // Drain start: close the door. New connects are refused from
-            // here on; established connections finish their exchanges.
-            if listener.is_some() && service.draining() {
-                if accept_resume_at.is_none() {
-                    let _ = poller.delete(listener_fd);
-                }
-                accept_resume_at = None;
-                stats.accept_paused.set(0);
-                listener = None;
-            }
-
-            // Shutdown conduct: grace-flush whatever is filled, then exit.
-            let stopping = service.should_stop()
-                || (service.draining() && service.drain_complete(conns.len(), now));
-            if stopping {
-                let deadline = *stop_flush_deadline.get_or_insert(now + 250);
-                if conns.values().all(Conn::flushed) || now >= deadline {
-                    break;
-                }
-            }
-
-            // Completions queued by workers / the wheel / inline fills.
-            tokens.clear();
-            notifier.drain(&mut tokens);
-            tokens.sort_unstable();
-            tokens.dedup();
-            for &token in &tokens {
-                if token == WAKE {
-                    continue;
-                }
+        // Housekeeping tick.
+        if now >= next_tick {
+            stats.lag_ms.record(now.saturating_sub(next_tick));
+            service.on_tick(now);
+            for (token, epoch) in loris.advance(now) {
                 if let Some(conn) = conns.get_mut(&token) {
-                    pump(conn, token, &service, &config, &notifier, &poller);
+                    if !conn.dead && conn.loris_epoch == epoch && conn.scanner.has_partial() {
+                        service.on_slow_loris();
+                        conn.dead = true;
+                    }
                 }
                 reap(&mut conns, token, &poller, &service);
             }
+            next_tick = now + tick_ms;
+        }
 
-            stats
-                .registered_fds
-                .set(conns.len() as i64 + 1 + i64::from(listener.is_some()));
-
-            // Park. The arm/recheck order closes the missed-wakeup race;
-            // anything queued since the drain above turns the wait into a
-            // poll.
-            notifier.arm();
-            let timeout = if notifier.has_pending() || stopping {
-                0
-            } else {
-                next_tick.saturating_sub(clock.now_ms()).min(tick_ms) as i32
-            };
-            events.clear();
-            if poller.wait(&mut events, timeout).is_err() {
-                break; // epoll itself failed: unrecoverable
-            }
-            notifier.disarm();
-            stats.ready_events.add(events.len() as u64);
-
-            for ev in events.iter().copied() {
-                match ev.token {
-                    WAKER => {
-                        wake.drain();
-                        stats.wakeups.inc();
+        // Re-arm a paused listener once the backoff elapsed (a
+        // closed connection has likely freed an fd by now).
+        if let Some(resume) = accept_resume_at {
+            if now >= resume {
+                match &listener {
+                    Some(l) if poller.add(l.as_raw_fd(), EPOLLIN, LISTENER).is_err() => {
+                        // Still starved (the poller add itself can
+                        // hit fd pressure); extend the pause.
+                        accept_resume_at = Some(now + ACCEPT_PAUSE_MS);
                     }
-                    LISTENER => {
-                        if let Some(l) = &listener {
-                            if accept_resume_at.is_none()
-                                && accept_all(
-                                    l,
-                                    &poller,
-                                    &mut conns,
-                                    &mut next_token,
-                                    &service,
-                                    &config,
-                                )
-                            {
-                                // fd exhaustion. A level-triggered ready
-                                // listener we cannot accept from would
-                                // spin the loop at 100% CPU; drop accept
-                                // interest and re-arm after a backoff.
-                                let _ = poller.delete(listener_fd);
-                                accept_resume_at = Some(clock.now_ms() + ACCEPT_PAUSE_MS);
-                                stats.accept_paused.set(1);
-                            }
-                        }
-                    }
-                    token if token & SERVICE_BIT != 0 => service.on_io(
-                        token & !SERVICE_BIT,
-                        Readiness {
-                            readable: ev.readable,
-                            writable: ev.writable,
-                            closing: ev.closing,
-                        },
-                    ),
-                    token => {
-                        let Some(conn) = conns.get_mut(&token) else {
-                            continue;
-                        };
-                        if ev.readable {
-                            on_readable(
-                                conn,
-                                token,
-                                &service,
-                                &config,
-                                &notifier,
-                                &poller,
-                                &mut scratch,
-                                &mut loris,
-                                clock.now_ms(),
-                            );
-                        } else if ev.closing {
-                            // Error/hangup with nothing to read.
-                            conn.dead = true;
-                        } else if ev.writable {
-                            pump(conn, token, &service, &config, &notifier, &poller);
-                        }
-                        reap(&mut conns, token, &poller, &service);
+                    _ => {
+                        accept_resume_at = None;
+                        stats.accept_paused.set(0);
                     }
                 }
             }
         }
 
-        // Final pass: hand back whatever flushed, then drop everything.
-        for (token, conn) in conns.drain() {
-            let _ = poller.delete(conn.fd);
-            service.on_conn_close(token);
-        }
-        stats.registered_fds.set(0);
-    }
-
-    fn reap(
-        conns: &mut HashMap<Token, Conn>,
-        token: Token,
-        poller: &Poller,
-        service: &Arc<dyn Service>,
-    ) {
-        if conns.get(&token).is_some_and(|c| c.dead) {
-            let conn = conns.remove(&token).expect("checked above");
-            let _ = poller.delete(conn.fd);
-            service.on_conn_close(token);
-        }
-    }
-
-    /// Accept until the backlog is dry. Returns `true` when the process
-    /// ran out of file descriptors (the caller must pause accepting —
-    /// the listener stays readable and would otherwise hot-spin).
-    fn accept_all(
-        listener: &TcpListener,
-        poller: &Poller,
-        conns: &mut HashMap<Token, Conn>,
-        next_token: &mut Token,
-        service: &Arc<dyn Service>,
-        _config: &CoreConfig,
-    ) -> bool {
-        loop {
-            match listener.accept() {
-                Ok((stream, _)) => {
-                    if stream.set_nonblocking(true).is_err() {
-                        continue;
-                    }
-                    let _ = stream.set_nodelay(true);
-                    let fd = stream.as_raw_fd();
-                    let token = *next_token;
-                    *next_token += 1;
-                    let interest = EPOLLIN | EPOLLRDHUP;
-                    if poller.add(fd, interest, token).is_err() {
-                        continue; // fd pressure: drop the connection
-                    }
-                    conns.insert(
-                        token,
-                        Conn {
-                            stream,
-                            fd,
-                            scanner: FrameScanner::new(),
-                            pending: VecDeque::new(),
-                            out: Vec::new(),
-                            out_pos: 0,
-                            interest,
-                            close_after_flush: false,
-                            peer_closed: false,
-                            loris_epoch: 0,
-                            dead: false,
-                        },
-                    );
-                    service.on_conn_open(token);
-                }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => return false,
-                Err(e) if e.raw_os_error().is_some_and(|n| FD_EXHAUSTED.contains(&n)) => {
-                    return true;
-                }
-                // Other transient accept errors (ECONNABORTED...):
-                // yield; readiness will re-report if more is queued.
-                Err(_) => return false,
+        // Drain start: close the door. New connects are refused from
+        // here on; established connections finish their exchanges.
+        if listener.is_some() && service.draining() {
+            if accept_resume_at.is_none() {
+                let _ = poller.delete(listener_fd);
             }
+            accept_resume_at = None;
+            stats.accept_paused.set(0);
+            listener = None;
         }
-    }
 
-    #[allow(clippy::too_many_arguments)]
-    fn on_readable(
-        conn: &mut Conn,
-        token: Token,
-        service: &Arc<dyn Service>,
-        config: &CoreConfig,
-        notifier: &Notifier,
-        poller: &Poller,
-        scratch: &mut [u8],
-        loris: &mut TimerWheel<(Token, u64)>,
-        now: u64,
-    ) {
-        for _ in 0..READS_PER_EVENT {
-            match conn.stream.read(scratch) {
-                Ok(0) => {
-                    conn.peer_closed = true;
-                    break;
-                }
-                Ok(n) => {
-                    conn.scanner.push(&scratch[..n]);
-                    if n < scratch.len() {
-                        break;
-                    }
-                }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                Err(_) => {
-                    conn.dead = true;
-                    return;
-                }
-            }
-        }
-        pump(conn, token, service, config, notifier, poller);
-        // Every read restarts the stall clock, exactly like the blocking
-        // reader's per-wait timeout did.
-        conn.loris_epoch += 1;
-        if !conn.dead && conn.scanner.has_partial() && !conn.peer_closed {
-            loris.schedule(
-                now + config.read_timeout_ms.max(1),
-                (token, conn.loris_epoch),
-            );
-        }
-    }
-
-    /// Advance one connection as far as it can go: parse frames (unless
-    /// backpressured), move filled responses to the wire, update epoll
-    /// interest, decide closure.
-    fn pump(
-        conn: &mut Conn,
-        token: Token,
-        service: &Arc<dyn Service>,
-        config: &CoreConfig,
-        notifier: &Notifier,
-        poller: &Poller,
-    ) {
-        loop {
-            if conn.close_after_flush
-                || conn.pending.len() >= config.max_pending_per_conn
-                || conn.out.len() - conn.out_pos >= config.max_write_buffer
-            {
+        // Shutdown conduct: grace-flush whatever is filled, then exit.
+        let stopping = service.should_stop()
+            || (service.draining() && service.drain_complete(conns.len(), now));
+        if stopping {
+            let deadline = *stop_flush_deadline.get_or_insert(now + 250);
+            if conns.values().all(Conn::flushed) || now >= deadline {
                 break;
             }
-            match conn.scanner.next(config.max_frame_bytes) {
-                Scan::Frame(line) if line.is_empty() => continue,
-                Scan::Frame(line) => {
-                    let slot = Arc::new(ResponseSlot::new());
-                    conn.pending.push_back(Arc::clone(&slot));
-                    service.on_frame(line, Completion::new(slot, token, notifier.clone()));
-                }
-                Scan::TooLarge => {
-                    let slot = Arc::new(ResponseSlot::new());
-                    slot.fill(service.on_oversize());
-                    conn.pending.push_back(slot);
-                    conn.close_after_flush = true;
-                }
-                Scan::Partial => break,
-            }
         }
 
-        // Write-back: contiguous filled prefix only (request order).
-        while let Some(front) = conn.pending.front() {
-            match front.take() {
-                Some(line) => {
-                    conn.out.extend_from_slice(line.as_bytes());
-                    conn.out.push(b'\n');
-                    conn.pending.pop_front();
-                }
-                None => break,
+        // Completions queued by workers / the wheel / inline fills.
+        tokens.clear();
+        notifier.drain(&mut tokens);
+        tokens.sort_unstable();
+        tokens.dedup();
+        for &token in &tokens {
+            if token == WAKE {
+                continue;
             }
-        }
-        while conn.out_pos < conn.out.len() {
-            match conn.stream.write(&conn.out[conn.out_pos..]) {
-                Ok(0) => {
-                    conn.dead = true;
-                    return;
-                }
-                Ok(n) => conn.out_pos += n,
-                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                Err(_) => {
-                    conn.dead = true;
-                    return;
-                }
+            if let Some(conn) = conns.get_mut(&token) {
+                pump(conn, token, &service, &config, &notifier, &poller);
             }
-        }
-        if conn.out_pos >= conn.out.len() {
-            conn.out.clear();
-            conn.out_pos = 0;
+            reap(&mut conns, token, &poller, &service);
         }
 
-        if conn.flushed() && (conn.close_after_flush || conn.peer_closed) {
-            conn.dead = true;
-            return;
-        }
+        stats
+            .registered_fds
+            .set(conns.len() as i64 + 1 + i64::from(listener.is_some()));
 
-        let want_read = !conn.close_after_flush
-            && !conn.peer_closed
-            && conn.pending.len() < config.max_pending_per_conn
-            && conn.out.len() - conn.out_pos < config.max_write_buffer;
-        let want_write = conn.out_pos < conn.out.len();
-        let desired = (if want_read { EPOLLIN | EPOLLRDHUP } else { 0 })
-            | (if want_write { EPOLLOUT } else { 0 });
-        if desired != conn.interest && poller.modify(conn.fd, desired, token).is_ok() {
-            conn.interest = desired;
+        // Park. The arm/recheck order closes the missed-wakeup race;
+        // anything queued since the drain above turns the wait into a
+        // poll.
+        notifier.arm();
+        let timeout = if notifier.has_pending() || stopping {
+            0
+        } else {
+            next_tick.saturating_sub(clock.now_ms()).min(tick_ms) as i32
+        };
+        events.clear();
+        if poller.wait(&mut events, timeout).is_err() {
+            break; // epoll itself failed: unrecoverable
         }
+        notifier.disarm();
+        stats.ready_events.add(events.len() as u64);
+
+        for ev in events.iter().copied() {
+            match ev.token {
+                WAKER => {
+                    wake.drain();
+                    stats.wakeups.inc();
+                }
+                LISTENER => {
+                    if let Some(l) = &listener {
+                        if accept_resume_at.is_none()
+                            && accept_all(
+                                l,
+                                &poller,
+                                &mut conns,
+                                &mut next_token,
+                                &service,
+                                &config,
+                            )
+                        {
+                            // fd exhaustion. A level-triggered ready
+                            // listener we cannot accept from would
+                            // spin the loop at 100% CPU; drop accept
+                            // interest and re-arm after a backoff.
+                            let _ = poller.delete(listener_fd);
+                            accept_resume_at = Some(clock.now_ms() + ACCEPT_PAUSE_MS);
+                            stats.accept_paused.set(1);
+                        }
+                    }
+                }
+                token if token & SERVICE_BIT != 0 => service.on_io(
+                    token & !SERVICE_BIT,
+                    Readiness {
+                        readable: ev.readable,
+                        writable: ev.writable,
+                        closing: ev.closing,
+                    },
+                ),
+                token => {
+                    let Some(conn) = conns.get_mut(&token) else {
+                        continue;
+                    };
+                    if ev.readable {
+                        on_readable(
+                            conn,
+                            token,
+                            &service,
+                            &config,
+                            &notifier,
+                            &poller,
+                            &mut scratch,
+                            &mut loris,
+                            clock.now_ms(),
+                        );
+                    } else if ev.closing {
+                        // Error/hangup with nothing to read.
+                        conn.dead = true;
+                    } else if ev.writable {
+                        pump(conn, token, &service, &config, &notifier, &poller);
+                    }
+                    reap(&mut conns, token, &poller, &service);
+                }
+            }
+        }
+    }
+
+    // Final pass: hand back whatever flushed, then drop everything.
+    for (token, conn) in conns.drain() {
+        let _ = poller.delete(conn.fd);
+        service.on_conn_close(token);
+    }
+    stats.registered_fds.set(0);
+}
+
+fn reap(
+    conns: &mut HashMap<Token, Conn>,
+    token: Token,
+    poller: &Poller,
+    service: &Arc<dyn Service>,
+) {
+    if conns.get(&token).is_some_and(|c| c.dead) {
+        let conn = conns.remove(&token).expect("checked above");
+        let _ = poller.delete(conn.fd);
+        service.on_conn_close(token);
     }
 }
 
-#[cfg(target_os = "linux")]
-pub use imp::{EventCore, LoopIo};
-
-#[cfg(not(target_os = "linux"))]
-mod fallback {
-    use super::*;
-    use crate::clock::Clock;
-    use std::io::{ErrorKind, Read, Write};
-    use std::net::{TcpListener, TcpStream};
-    use std::thread::JoinHandle;
-
-    /// No poller off Linux: [`Service::on_attach`] is never called, so no
-    /// value of this type exists.
-    #[derive(Clone)]
-    pub enum LoopIo {}
-
-    impl LoopIo {
-        pub fn register(&self, _: &TcpStream, _: Token, _: bool) -> std::io::Result<()> {
-            match *self {}
-        }
-
-        pub fn reregister(&self, _: &TcpStream, _: Token, _: bool) -> std::io::Result<()> {
-            match *self {}
-        }
-
-        pub fn deregister(&self, _: &TcpStream) {
-            match *self {}
-        }
-    }
-
-    /// Blocking thread-per-connection stand-in for non-Linux hosts: same
-    /// [`Service`] contract, no epoll, no pipelined write-back.
-    pub struct EventCore {
-        notifier: Notifier,
-        thread: Option<JoinHandle<()>>,
-    }
-
-    impl EventCore {
-        pub fn start(
-            listener: TcpListener,
-            service: Arc<dyn Service>,
-            config: CoreConfig,
-            stats: LoopStats,
-            _clock: Arc<dyn Clock>,
-        ) -> std::io::Result<EventCore> {
-            listener.set_nonblocking(true)?;
-            let thread = std::thread::Builder::new()
-                .name("serve-accept".to_string())
-                .spawn(move || accept_loop(listener, service, config, stats))?;
-            Ok(EventCore {
-                notifier: Notifier::disabled(),
-                thread: Some(thread),
-            })
-        }
-
-        pub fn notifier(&self) -> Notifier {
-            self.notifier.clone()
-        }
-
-        pub fn join(mut self) {
-            if let Some(t) = self.thread.take() {
-                let _ = t.join();
-            }
-        }
-    }
-
-    fn accept_loop(
-        listener: TcpListener,
-        service: Arc<dyn Service>,
-        config: CoreConfig,
-        stats: LoopStats,
-    ) {
-        let mut next_token: Token = 2;
-        while !service.draining() && !service.should_stop() {
-            match listener.accept() {
-                Ok((stream, _)) => {
-                    let token = next_token;
-                    next_token += 1;
-                    service.on_conn_open(token);
-                    stats.registered_fds.add(1);
-                    let service = Arc::clone(&service);
-                    let config = config.clone();
-                    let gauge = Arc::clone(&stats.registered_fds);
-                    let _ = std::thread::Builder::new()
-                        .name("serve-conn".to_string())
-                        .spawn(move || {
-                            serve_blocking(stream, token, &service, &config);
-                            service.on_conn_close(token);
-                            gauge.sub(1);
-                        });
-                }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(5));
-                }
-                Err(e) if e.raw_os_error().is_some_and(|n| n == 23 || n == 24) => {
-                    // EMFILE/ENFILE: pause accepting until an fd frees.
-                    stats.accept_paused.set(1);
-                    std::thread::sleep(Duration::from_millis(50));
-                    stats.accept_paused.set(0);
-                }
-                Err(_) => std::thread::sleep(Duration::from_millis(5)),
-            }
-        }
-    }
-
-    fn serve_blocking(
-        mut stream: TcpStream,
-        token: Token,
-        service: &Arc<dyn Service>,
-        config: &CoreConfig,
-    ) {
-        let _ = stream.set_nodelay(true);
-        let _ = stream.set_read_timeout(Some(Duration::from_millis(config.read_timeout_ms.max(1))));
-        let mut scanner = FrameScanner::new();
-        let mut buf = [0u8; 4096];
-        loop {
-            match scanner.next(config.max_frame_bytes) {
-                Scan::Frame(line) if line.is_empty() => continue,
-                Scan::Frame(line) => {
-                    let slot = Arc::new(ResponseSlot::new());
-                    service.on_frame(
-                        line,
-                        Completion::new(Arc::clone(&slot), token, Notifier::disabled()),
-                    );
-                    let Some(response) = slot.wait(Duration::from_millis(config.response_wait_ms))
-                    else {
-                        return;
-                    };
-                    if stream.write_all(response.as_bytes()).is_err()
-                        || stream.write_all(b"\n").is_err()
-                    {
-                        return;
-                    }
+/// Accept until the backlog is dry. Returns `true` when the process
+/// ran out of file descriptors (the caller must pause accepting —
+/// the listener stays readable and would otherwise hot-spin).
+fn accept_all(
+    listener: &TcpListener,
+    poller: &Poller,
+    conns: &mut HashMap<Token, Conn>,
+    next_token: &mut Token,
+    service: &Arc<dyn Service>,
+    _config: &CoreConfig,
+) -> bool {
+    loop {
+        match listener.accept() {
+            Ok((stream, _)) => {
+                if stream.set_nonblocking(true).is_err() {
                     continue;
                 }
-                Scan::TooLarge => {
-                    let line = service.on_oversize();
-                    let _ = stream.write_all(line.as_bytes());
-                    let _ = stream.write_all(b"\n");
-                    return;
+                let _ = stream.set_nodelay(true);
+                let fd = stream.as_raw_fd();
+                let token = *next_token;
+                *next_token += 1;
+                let interest = EPOLLIN | EPOLLRDHUP;
+                if poller.add(fd, interest, token).is_err() {
+                    continue; // fd pressure: drop the connection
                 }
-                Scan::Partial => {}
+                conns.insert(
+                    token,
+                    Conn {
+                        stream,
+                        fd,
+                        scanner: FrameScanner::new(),
+                        pending: VecDeque::new(),
+                        out: Vec::new(),
+                        out_pos: 0,
+                        interest,
+                        close_after_flush: false,
+                        peer_closed: false,
+                        loris_epoch: 0,
+                        dead: false,
+                    },
+                );
+                service.on_conn_open(token);
             }
-            match stream.read(&mut buf) {
-                Ok(0) => return,
-                Ok(n) => scanner.push(&buf[..n]),
-                Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
-                    if scanner.has_partial() {
-                        service.on_slow_loris();
-                        return;
-                    }
-                    if service.draining() || service.should_stop() {
-                        return;
-                    }
-                }
-                Err(_) => return,
+            Err(e) if e.kind() == ErrorKind::WouldBlock => return false,
+            Err(e) if e.raw_os_error().is_some_and(|n| FD_EXHAUSTED.contains(&n)) => {
+                return true;
             }
+            // Other transient accept errors (ECONNABORTED...):
+            // yield; readiness will re-report if more is queued.
+            Err(_) => return false,
         }
     }
 }
 
-#[cfg(not(target_os = "linux"))]
-pub use fallback::{EventCore, LoopIo};
+#[allow(clippy::too_many_arguments)]
+fn on_readable(
+    conn: &mut Conn,
+    token: Token,
+    service: &Arc<dyn Service>,
+    config: &CoreConfig,
+    notifier: &Notifier,
+    poller: &Poller,
+    scratch: &mut [u8],
+    loris: &mut TimerWheel<(Token, u64)>,
+    now: u64,
+) {
+    for _ in 0..READS_PER_EVENT {
+        match conn.stream.read(scratch) {
+            Ok(0) => {
+                conn.peer_closed = true;
+                break;
+            }
+            Ok(n) => {
+                conn.scanner.push(&scratch[..n]);
+                if n < scratch.len() {
+                    break;
+                }
+            }
+            Err(e) if e.kind() == ErrorKind::WouldBlock => break,
+            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+            Err(_) => {
+                conn.dead = true;
+                return;
+            }
+        }
+    }
+    pump(conn, token, service, config, notifier, poller);
+    // Every read restarts the stall clock, exactly like the blocking
+    // reader's per-wait timeout did.
+    conn.loris_epoch += 1;
+    if !conn.dead && conn.scanner.has_partial() && !conn.peer_closed {
+        loris.schedule(
+            now + config.read_timeout_ms.max(1),
+            (token, conn.loris_epoch),
+        );
+    }
+}
+
+/// Advance one connection as far as it can go: parse frames (unless
+/// backpressured), move filled responses to the wire, update epoll
+/// interest, decide closure.
+fn pump(
+    conn: &mut Conn,
+    token: Token,
+    service: &Arc<dyn Service>,
+    config: &CoreConfig,
+    notifier: &Notifier,
+    poller: &Poller,
+) {
+    loop {
+        if conn.close_after_flush
+            || conn.pending.len() >= config.max_pending_per_conn
+            || conn.out.len() - conn.out_pos >= config.max_write_buffer
+        {
+            break;
+        }
+        match conn.scanner.next(config.max_frame_bytes) {
+            Scan::Frame(line) if line.is_empty() => continue,
+            Scan::Frame(line) => {
+                let slot = Arc::new(ResponseSlot::new());
+                conn.pending.push_back(Arc::clone(&slot));
+                service.on_frame(line, Completion::new(slot, token, notifier.clone()));
+            }
+            Scan::TooLarge => {
+                let slot = Arc::new(ResponseSlot::new());
+                slot.fill(service.on_oversize());
+                conn.pending.push_back(slot);
+                conn.close_after_flush = true;
+            }
+            Scan::Partial => break,
+        }
+    }
+
+    // Write-back: contiguous filled prefix only (request order).
+    while let Some(front) = conn.pending.front() {
+        match front.take() {
+            Some(line) => {
+                conn.out.extend_from_slice(line.as_bytes());
+                conn.out.push(b'\n');
+                conn.pending.pop_front();
+            }
+            None => break,
+        }
+    }
+    while conn.out_pos < conn.out.len() {
+        match conn.stream.write(&conn.out[conn.out_pos..]) {
+            Ok(0) => {
+                conn.dead = true;
+                return;
+            }
+            Ok(n) => conn.out_pos += n,
+            Err(e) if e.kind() == ErrorKind::WouldBlock => break,
+            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+            Err(_) => {
+                conn.dead = true;
+                return;
+            }
+        }
+    }
+    if conn.out_pos >= conn.out.len() {
+        conn.out.clear();
+        conn.out_pos = 0;
+    }
+
+    if conn.flushed() && (conn.close_after_flush || conn.peer_closed) {
+        conn.dead = true;
+        return;
+    }
+
+    let want_read = !conn.close_after_flush
+        && !conn.peer_closed
+        && conn.pending.len() < config.max_pending_per_conn
+        && conn.out.len() - conn.out_pos < config.max_write_buffer;
+    let want_write = conn.out_pos < conn.out.len();
+    let desired = (if want_read { EPOLLIN | EPOLLRDHUP } else { 0 })
+        | (if want_write { EPOLLOUT } else { 0 });
+    if desired != conn.interest && poller.modify(conn.fd, desired, token).is_ok() {
+        conn.interest = desired;
+    }
+}

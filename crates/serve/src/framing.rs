@@ -7,9 +7,9 @@
 //! `\r` stripped, invalid UTF-8 replaced wholesale by `"\u{fffd}"` (which
 //! parses as garbage and earns a `400`), and the size cap enforced only
 //! once the buffer holds no complete frame (a buffer can briefly exceed
-//! the cap while it still contains undelivered short frames). Both the
-//! event loop and the blocking fallback drive connections through this
-//! one scanner, which is what the byte-interleaving proptests pin down.
+//! the cap while it still contains undelivered short frames). The event
+//! loop drives every connection through this one scanner, which is what
+//! the byte-interleaving proptests pin down.
 
 /// What the scanner found at the head of its buffer.
 #[derive(Debug, Clone, PartialEq, Eq)]

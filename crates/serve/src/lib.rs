@@ -13,6 +13,13 @@
 //! `metrics` verb (JSON snapshot or Prometheus text exposition) read
 //! the same cells. Request handling emits `serve.*` spans through the
 //! global tracer.
+//!
+//! Linux only: the connection core and the load generator run on
+//! `epoll` ([`silentcert_net::epoll`]), and so does the cluster router
+//! built on them.
+
+#[cfg(not(target_os = "linux"))]
+compile_error!("silentcert-serve runs on epoll and builds only for Linux targets");
 
 pub mod breaker;
 pub mod cache;
@@ -22,7 +29,6 @@ pub mod framing;
 pub mod journal;
 pub mod json;
 pub mod loadgen;
-pub mod openloop;
 pub mod protocol;
 pub mod queue;
 pub mod server;

@@ -613,7 +613,6 @@ pub fn start_with_clock(
         read_timeout_ms: config.read_timeout_ms,
         max_frame_bytes: config.max_frame_bytes,
         max_pending_per_conn: config.max_pending_per_conn.max(1),
-        response_wait_ms: config.deadline_ms + 1_000,
         ..CoreConfig::default()
     };
     let shared = Arc::new(Shared {
@@ -912,7 +911,7 @@ fn supervise(shared: &Arc<Shared>, mut pool: Vec<Option<JoinHandle<WorkerExit>>>
         let now = shared.now();
 
         // The event loop also fires these on its own tick; doubling up
-        // here covers its busy stretches and the non-Linux fallback.
+        // here covers its busy stretches.
         shared.fire_deadlines(now);
 
         // Restart dead workers (jittered exponential backoff). During

@@ -11,8 +11,7 @@
 //! The FFI is a single `signal(2)` declaration rather than a libc crate
 //! dependency: the build environment is offline and the workspace is
 //! std-only, and `signal` with a `SIG_DFL`-style handler address is
-//! available on every Unix libc. On non-Unix targets installation is a
-//! no-op and the watcher only ever observes `false`.
+//! available on every Unix libc.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
@@ -20,7 +19,6 @@ use std::time::Duration;
 /// Set by the signal handler; read by the watcher thread.
 static DRAIN_REQUESTED: AtomicBool = AtomicBool::new(false);
 
-#[cfg(unix)]
 mod ffi {
     extern "C" {
         /// `sighandler_t signal(int signum, sighandler_t handler)` —
@@ -31,15 +29,13 @@ mod ffi {
     pub const SIGTERM: i32 = 15;
 }
 
-#[cfg(unix)]
 extern "C" fn on_signal(_signum: i32) {
     // Only async-signal-safe work here: one relaxed-free store.
     DRAIN_REQUESTED.store(true, Ordering::SeqCst);
 }
 
-/// Install the SIGTERM/SIGINT handlers. Idempotent; no-op off Unix.
+/// Install the SIGTERM/SIGINT handlers. Idempotent.
 pub fn install_drain_handler() {
-    #[cfg(unix)]
     unsafe {
         ffi::signal(ffi::SIGTERM, on_signal as *const () as usize);
         ffi::signal(ffi::SIGINT, on_signal as *const () as usize);
@@ -81,10 +77,7 @@ mod tests {
         watch(move || fired2.store(true, Ordering::SeqCst), || false);
         // Simulate signal delivery by poking the handler directly (a
         // real kill would race other tests in this binary).
-        #[cfg(unix)]
         on_signal(ffi::SIGTERM);
-        #[cfg(not(unix))]
-        DRAIN_REQUESTED.store(true, Ordering::SeqCst);
         for _ in 0..100 {
             if fired.load(Ordering::SeqCst) {
                 return;

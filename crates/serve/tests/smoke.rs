@@ -162,7 +162,6 @@ fn daemon_survives_chaos_and_drains_to_a_replayable_journal() {
             addr: addr.clone(),
             connections: 4,
             requests: 400,
-            qps: 0,
             faults: ClientFaultPlan {
                 slow_loris_rate: 0.01,
                 disconnect_rate: 0.02,
@@ -170,7 +169,6 @@ fn daemon_survives_chaos_and_drains_to_a_replayable_journal() {
                 garbage_rate: 0.03,
             },
             stall_ms: 500, // > read_timeout_ms, triggers slow-loris close
-            oversize_bytes: 2 << 20,
             ..LoadgenOptions::default()
         },
         &requests,
@@ -216,6 +214,67 @@ fn daemon_survives_chaos_and_drains_to_a_replayable_journal() {
     assert_eq!(replayed.mismatches, 0, "replay must be byte-identical");
 
     let _ = std::fs::remove_file(&journal_path);
+}
+
+/// Fault stalls overlap on the one load engine: a single connection
+/// draws several slow-loris faults, each holds its own socket until a
+/// deadline while the request stream moves on, so the run lasts about
+/// one stall rather than one per fault. The chaos books still balance.
+#[test]
+fn slow_loris_stalls_overlap_on_one_connection() {
+    let p = pki();
+    let config = ServeConfig {
+        workers: 2,
+        read_timeout_ms: 200,
+        ..ServeConfig::default()
+    };
+    let handle = server::start(config, {
+        let mut v = Validator::new(TrustStore::from_roots([p.root.clone()]));
+        v.add_intermediate(&p.intermediate);
+        Arc::new(v)
+    })
+    .expect("bind");
+
+    let stall_ms = 1_000;
+    let requests = 100;
+    let report = loadgen::run(
+        &LoadgenOptions {
+            addr: handle.addr().to_string(),
+            connections: 1,
+            requests,
+            faults: ClientFaultPlan {
+                slow_loris_rate: 0.05,
+                disconnect_rate: 0.05,
+                oversize_rate: 0.05,
+                garbage_rate: 0.05,
+            },
+            seed: 0x10adbeef,
+            stall_ms,
+            ..LoadgenOptions::default()
+        },
+        &request_mix(&p, false),
+    );
+
+    assert!(
+        report.faults_slow_loris >= 2,
+        "the seed must draw several stalls: {report:?}"
+    );
+    assert!(
+        report.elapsed_ms < 2 * stall_ms,
+        "stalls ran one after another: {report:?}"
+    );
+    let faults = report.faults_slow_loris
+        + report.faults_disconnect
+        + report.faults_oversize
+        + report.faults_garbage;
+    assert_eq!(report.answered + faults, requests as u64, "{report:?}");
+    assert_eq!(report.code_400, report.faults_garbage, "{report:?}");
+    assert_eq!(report.code_413, report.faults_oversize, "{report:?}");
+    assert_eq!(report.code_other, 0, "{report:?}");
+    assert_eq!(report.transport_errors, 0, "{report:?}");
+
+    handle.shutdown();
+    assert!(handle.wait().clean);
 }
 
 /// Minimal Prometheus text-format check: every sample line is
