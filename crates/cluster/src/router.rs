@@ -53,7 +53,6 @@ use crate::upstream::Upstream;
 use silentcert_crypto::sha256;
 use silentcert_obs::metrics::{Counter, Registry, Snapshot};
 use silentcert_serve::protocol::{self, code, Op};
-use silentcert_serve::queue::{BoundedQueue, PushError};
 use silentcert_serve::{
     Clock, Completion, CoreConfig, EventCore, LoopIo, LoopStats, Readiness, Service, SystemClock,
     TimerWheel, Token,
@@ -62,13 +61,14 @@ use std::collections::{HashMap, VecDeque};
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-/// Forwards outstanding on one shard connection at a time. Pipelining
-/// can therefore never overrun a shard's work queue (256 slots) and
-/// turn the router's own backlog into `503`s.
+/// Forwards outstanding on one shard connection at a time: the rest of
+/// a burst waits on the router's loop, not in the shard's socket
+/// buffers.
 pub const WINDOW: usize = 16;
 
 /// Forwards waiting on the loop for a window slot, across all shards.
@@ -304,6 +304,13 @@ impl Relay {
     }
 }
 
+/// The loop's poller from [`Relay::io`]: [`EventCore::start`] calls
+/// [`Service::on_attach`] before the first frame, so every forward
+/// finds it lent.
+fn attached(io: &Option<LoopIo>) -> &LoopIo {
+    io.as_ref().expect("on_attach runs before the first frame")
+}
+
 struct Shared {
     config: RouterConfig,
     directory: Arc<Directory>,
@@ -318,7 +325,9 @@ struct Shared {
     stats: Stats,
     clock: Arc<dyn Clock>,
     relay: Mutex<Relay>,
-    admin_jobs: BoundedQueue<AdminJob>,
+    /// The admin thread's inbox; [`Router::wait`] drops it to stop the
+    /// thread.
+    admin_jobs: Mutex<Option<SyncSender<AdminJob>>>,
     /// Per-client-connection retry token buckets, keyed by loop token.
     buckets: Mutex<HashMap<Token, f64>>,
     draining: AtomicBool,
@@ -388,16 +397,17 @@ impl Router {
         let addr = listener.local_addr()?;
         let registry = Registry::new();
         let stats = Stats::register(&registry);
-        let loop_stats = LoopStats::register(&registry, "silentcert_router_event_loop_");
+        let loop_stats = LoopStats::register(&registry, "silentcert_router_event_loop_", 0);
         let core_config = CoreConfig {
             read_timeout_ms: config.client_read_timeout_ms,
             max_frame_bytes: config.max_frame_bytes,
             ..CoreConfig::default()
         };
         let clock: Arc<dyn Clock> = Arc::new(SystemClock::new());
+        let (admin_jobs, admin_inbox) = sync_channel(ADMIN_QUEUE);
         let shared = Arc::new(Shared {
             relay: Mutex::new(Relay::new(clock.now_ms())),
-            admin_jobs: BoundedQueue::new(ADMIN_QUEUE),
+            admin_jobs: Mutex::new(Some(admin_jobs)),
             clock: Arc::clone(&clock),
             buckets: Mutex::new(HashMap::new()),
             config,
@@ -415,7 +425,7 @@ impl Router {
             let shared = Arc::clone(&shared);
             std::thread::Builder::new()
                 .name("router-admin".to_string())
-                .spawn(move || admin_loop(&shared))?
+                .spawn(move || admin_loop(&shared, &admin_inbox))?
         };
         let service: Arc<dyn Service> = Arc::clone(&shared) as Arc<dyn Service>;
         let core = EventCore::start(listener, service, core_config, loop_stats, clock)?;
@@ -463,7 +473,7 @@ impl Router {
             }
             relay.links.clear();
         }
-        self.shared.admin_jobs.close();
+        self.shared.admin_jobs.lock().unwrap().take();
         if let Some(handle) = self.admin_thread.take() {
             let _ = handle.join();
         }
@@ -689,8 +699,10 @@ impl Service for Shared {
                     }
                     _ => unreachable!("non-admin op in admin arm"),
                 };
-                if let Err(PushError::Full(job) | PushError::Closed(job)) =
-                    self.admin_jobs.try_push(AdminJob {
+                let jobs = self.admin_jobs.lock().unwrap();
+                let jobs = jobs.as_ref().expect("the admin inbox outlives the loop");
+                if let Err(TrySendError::Full(job) | TrySendError::Disconnected(job)) = jobs
+                    .try_send(AdminJob {
                         op,
                         id: req.id,
                         done,
@@ -951,9 +963,7 @@ impl Shared {
 
     /// Open the link's connection and put it on the loop.
     fn connect(&self, r: &mut Relay, addr: &str) -> bool {
-        let Some(io) = &r.io else {
-            return false;
-        };
+        let io = attached(&r.io);
         let Ok(sock) = addr.parse::<SocketAddr>() else {
             return false;
         };
@@ -996,12 +1006,8 @@ impl Shared {
             }
         }
         let want = !wire.unsent().is_empty();
-        if want != *want_write {
-            if let Some(io) = io {
-                if io.reregister(stream, *token, want).is_ok() {
-                    *want_write = want;
-                }
-            }
+        if want != *want_write && attached(io).reregister(stream, *token, want).is_ok() {
+            *want_write = want;
         }
     }
 
@@ -1013,9 +1019,7 @@ impl Shared {
             return;
         };
         if let Some((stream, token)) = link.conn.take() {
-            if let Some(io) = &r.io {
-                io.deregister(&stream);
-            }
+            attached(&r.io).deregister(&stream);
             r.tokens.remove(&token);
         }
         link.want_write = false;
@@ -1077,8 +1081,8 @@ impl Shared {
 }
 
 /// The admin thread: runs queued admin verbs in order.
-fn admin_loop(shared: &Shared) {
-    while let Some(AdminJob { op, id, done }) = shared.admin_jobs.pop() {
+fn admin_loop(shared: &Shared, inbox: &Receiver<AdminJob>) {
+    while let Ok(AdminJob { op, id, done }) = inbox.recv() {
         shared.stats.admin_ops.inc();
         let resp = match shared.admin.as_ref() {
             None => {

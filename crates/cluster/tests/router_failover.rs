@@ -651,7 +651,7 @@ fn metrics_carries_each_shards_newest_round_under_a_shard_label() {
         "# TYPE silentcert_serve_request_latency_ms histogram\n",
         "\nsilentcert_serve_request_latency_ms_count{shard=\"0\"} 0\n",
         // An existing label set gains `shard` in sorted position.
-        "\nsilentcert_serve_shed_total{reason=\"queue_full\",shard=\"0\"} 0\n",
+        "\nsilentcert_serve_shed_total{reason=\"breaker\",shard=\"0\"} 0\n",
     ] {
         assert!(prom.contains(want), "missing {want:?} in:\n{prom}");
     }

@@ -27,6 +27,10 @@ pub const EPOLLERR: u32 = 0x008;
 pub const EPOLLHUP: u32 = 0x010;
 /// Peer shut down its write side.
 pub const EPOLLRDHUP: u32 = 0x2000;
+/// Wake only one of the epoll instances watching the same file (add
+/// only): several event loops can listen on clones of one socket
+/// without every connect waking all of them.
+pub const EPOLLEXCLUSIVE: u32 = 1 << 28;
 
 const EPOLL_CTL_ADD: i32 = 1;
 const EPOLL_CTL_DEL: i32 = 2;

@@ -35,8 +35,7 @@
 //!
 //! ```text
 //! good(W)  = Σ_shards increase(served_ok_total)
-//! bad(W)   = Σ_shards increase(shed_total{*} + deadline_expired_total
-//!                               + worker_panics_total)
+//! bad(W)   = Σ_shards increase(shed_total{*} + worker_panics_total)
 //! slow(W)  = merged_latency_hist(W).count − count_at_or_below(slo_ms)
 //! ratio(W) = (bad + slow) / (good + bad)          (0 when no traffic)
 //! burn(W)  = ratio(W) / (1 − availability_target)
@@ -51,10 +50,7 @@ use crate::metrics::{help_text, HistogramSnapshot, SeriesValue, Snapshot};
 use std::collections::{BTreeMap, VecDeque};
 
 /// Counter families that spend error budget (availability side).
-const BAD_KEYS: &[&str] = &[
-    "silentcert_serve_deadline_expired_total",
-    "silentcert_serve_worker_panics_total",
-];
+const BAD_KEYS: &[&str] = &["silentcert_serve_worker_panics_total"];
 /// Shed counters are labeled by reason; match on the family prefix.
 const SHED_PREFIX: &str = "silentcert_serve_shed_total";
 /// Counter family counting successfully served requests.
@@ -772,7 +768,7 @@ mod tests {
     fn shard_snap(ok: u64, shed: u64, lat: &[u64]) -> Snapshot {
         let mut s = Snapshot::default();
         s.set_counter(GOOD_KEY, ok);
-        s.set_counter("silentcert_serve_shed_total{reason=\"queue_full\"}", shed);
+        s.set_counter("silentcert_serve_shed_total{reason=\"breaker\"}", shed);
         if !lat.is_empty() {
             s.series.insert(
                 LATENCY_KEY.to_string(),

@@ -712,12 +712,8 @@ pub fn help_text(base: &str) -> String {
             "End-to-end request latency as seen by the daemon, in milliseconds.",
         ),
         (
-            "silentcert_serve_queue_wait_ms",
-            "Time a request spent queued before a worker picked it up, in milliseconds.",
-        ),
-        (
             "silentcert_serve_queue_depth",
-            "Requests currently queued for the worker pool.",
+            "Classifications in progress across the daemon's event loops.",
         ),
         (
             "silentcert_serve_breaker_state",

@@ -35,7 +35,9 @@ pub struct ClusterCliOptions {
     /// Router bind address (shards always bind ephemeral ports).
     pub addr: String,
     pub shards: u32,
-    /// Classification workers per shard.
+    /// Event loops per shard. The router relays each shard's traffic
+    /// over one connection, and one loop owns a connection, so one loop
+    /// serves all of it; more loops only serve direct clients.
     pub workers: usize,
     /// Honour `chaos_kill_shard` frames on the router.
     pub chaos_ops: bool,
@@ -68,7 +70,7 @@ impl Default for ClusterCliOptions {
         ClusterCliOptions {
             addr: "127.0.0.1:0".to_string(),
             shards: 3,
-            workers: 2,
+            workers: 1,
             chaos_ops: false,
             admin_ops: false,
             journal_dir: None,

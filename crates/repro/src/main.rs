@@ -106,23 +106,24 @@ fn usage() -> ! {
          \n\
          options for serve:\n\
          \x20 --addr HOST:PORT   bind address (default 127.0.0.1:0)\n\
-         \x20 --workers N        classification worker threads (default 4)\n\
-         \x20 --queue N          work-queue capacity (default 256)\n\
-         \x20 --deadline-ms N    per-request deadline (default 1000)\n\
+         \x20 --workers N        event loops sharing the port; each\n\
+         \x20                    classifies what it reads (default: all cores)\n\
          \x20 --journal FILE     crash-safe replayable request journal\n\
          \x20 --journal-sync     write-through journal (records durable\n\
          \x20                    before the response; survives SIGKILL)\n\
-         \x20 --chaos-ops        honour chaos_panic frames (supervision drills)\n\
-         \x20 --strict-workers   exit 1 if any worker thread died\n\
-         \x20 --drain-deadline-ms N  force-shed leftover work N ms into a\n\
-         \x20                    drain (default 5000)\n\
+         \x20 --chaos-ops        honour chaos_panic frames (panic drills)\n\
+         \x20 --strict-workers   exit 1 if any request panicked\n\
+         \x20 --drain-deadline-ms N  how long a drain waits for in-flight\n\
+         \x20                    classifications (default 5000)\n\
          \x20 --shard-id N       identity inside a cluster (default 0)\n\
          \n\
          options for cluster:\n\
          \x20 --addr HOST:PORT   router bind address (default 127.0.0.1:0;\n\
          \x20                    prints LISTENING <addr> when up)\n\
          \x20 --shards N         shard processes to supervise (default 3)\n\
-         \x20 --workers N        classification workers per shard\n\
+         \x20 --workers N        event loops per shard (default 1: the\n\
+         \x20                    router relays a shard's traffic over one\n\
+         \x20                    connection, which one loop owns)\n\
          \x20 --journal-dir DIR  per-generation shard journals (default:\n\
          \x20                    pid-suffixed directory under the temp dir)\n\
          \x20 --chaos-ops        honour chaos_kill_shard frames (failover\n\
@@ -231,9 +232,7 @@ fn run() {
     let mut resume = false;
     let mut kill_after: Option<u64> = None;
     let mut addr: Option<String> = None;
-    let mut workers: usize = 4;
-    let mut queue: usize = 256;
-    let mut deadline_ms: u64 = 1_000;
+    let mut workers: Option<usize> = None;
     let mut journal: Option<String> = None;
     let mut chaos_ops = false;
     let mut admin_ops = false;
@@ -488,24 +487,11 @@ fn run() {
             }
             "--workers" => {
                 i += 1;
-                workers = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| die("'--workers' expects a thread count"));
-            }
-            "--queue" => {
-                i += 1;
-                queue = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| die("'--queue' expects a capacity"));
-            }
-            "--deadline-ms" => {
-                i += 1;
-                deadline_ms = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| die("'--deadline-ms' expects milliseconds"));
+                workers = Some(
+                    args.get(i)
+                        .and_then(|s| s.parse().ok())
+                        .unwrap_or_else(|| die("'--workers' expects a loop count")),
+                );
             }
             "--requests" => {
                 i += 1;
@@ -631,9 +617,7 @@ fn run() {
             &config,
             &serve_cmd::ServeCliOptions {
                 addr: addr.unwrap_or_else(|| "127.0.0.1:0".to_string()),
-                workers,
-                queue,
-                deadline_ms,
+                workers: workers.unwrap_or(silentcert_serve::ServeConfig::default().workers),
                 journal: journal.map(std::path::PathBuf::from),
                 chaos_ops,
                 strict_workers,
@@ -650,7 +634,7 @@ fn run() {
             &cluster_cmd::ClusterCliOptions {
                 addr: addr.unwrap_or_else(|| "127.0.0.1:0".to_string()),
                 shards,
-                workers,
+                workers: workers.unwrap_or(cluster_cmd::ClusterCliOptions::default().workers),
                 chaos_ops,
                 admin_ops,
                 journal_dir: journal_dir.map(std::path::PathBuf::from),

@@ -29,15 +29,14 @@ use std::time::Duration;
 /// CLI-level options for `repro serve`.
 pub struct ServeCliOptions {
     pub addr: String,
+    /// Event loops sharing the port.
     pub workers: usize,
-    pub queue: usize,
-    pub deadline_ms: u64,
     pub journal: Option<PathBuf>,
     pub chaos_ops: bool,
-    /// Exit non-zero if any worker thread died over the daemon's
-    /// lifetime (CI smoke mode: transport chaos only, no panics allowed).
+    /// Exit non-zero if any request panicked over the daemon's lifetime
+    /// (CI smoke mode: transport chaos only, no panics allowed).
     pub strict_workers: bool,
-    /// How long a drain may run before remaining work is force-shed.
+    /// How long a drain may wait for in-flight classifications.
     pub drain_deadline_ms: u64,
     /// This daemon's identity inside a cluster (0 standalone).
     pub shard_id: u32,
@@ -175,15 +174,12 @@ pub fn run_serve(config: &ScaleConfig, opts: &ServeCliOptions) -> ! {
     let server_config = ServeConfig {
         addr: opts.addr.clone(),
         workers: opts.workers,
-        queue_capacity: opts.queue,
-        deadline_ms: opts.deadline_ms,
         drain_deadline_ms: opts.drain_deadline_ms,
         journal_path: opts.journal.clone(),
         enable_chaos_ops: opts.chaos_ops,
         shard_id: opts.shard_id,
         journal_write_through: opts.journal_sync,
         breaker: BreakerConfig::default(),
-        seed: config.seed,
         ..ServeConfig::default()
     };
     let handle = match server::start(server_config, validator) {
@@ -204,8 +200,8 @@ pub fn run_serve(config: &ScaleConfig, opts: &ServeCliOptions) -> ! {
     silentcert_serve::signal::install_drain_handler();
     silentcert_serve::signal::watch(handle.drainer(), || false);
     info!(
-        "{} workers, queue {}, deadline {}ms; send {{\"op\":\"shutdown\"}} to drain",
-        opts.workers, opts.queue, opts.deadline_ms
+        "{} event loops; send {{\"op\":\"shutdown\"}} to drain",
+        opts.workers
     );
     // `wait` consumes the handle; keep a snapshot source so `--metrics`
     // can record the drained daemon's merged registry, not just the
@@ -213,13 +209,8 @@ pub fn run_serve(config: &ScaleConfig, opts: &ServeCliOptions) -> ! {
     let metrics_probe = handle.metrics_probe();
     let summary = handle.wait();
     info!(
-        "drained: clean={} served_ok={} force_shed={} worker_panics={} worker_restarts={} journal_entries={}",
-        summary.clean,
-        summary.served_ok,
-        summary.force_shed,
-        summary.worker_panics,
-        summary.worker_restarts,
-        summary.journal_entries
+        "drained: clean={} served_ok={} worker_panics={} journal_entries={}",
+        summary.clean, summary.served_ok, summary.worker_panics, summary.journal_entries
     );
     crate::obs_setup::write_metrics_snapshot(&metrics_probe());
     let strict_failure = opts.strict_workers && summary.worker_panics > 0;

@@ -11,7 +11,7 @@
 //! ```
 //!
 //! While **open**, classification work is shed at admission (`503`)
-//! without touching the queue or the workers — only `health` and `stats`
+//! before any classification runs — only `health` and `stats`
 //! keep being served, so operators can watch the breaker recover. After
 //! [`BreakerConfig::open_cooldown_ms`] the breaker becomes **half-open**
 //! and admits exactly [`BreakerConfig::half_open_probes`] live probes;
@@ -162,15 +162,6 @@ impl CircuitBreaker {
                     Admission::Shed
                 }
             }
-        }
-    }
-
-    /// A previously admitted request never executed (e.g. the bounded
-    /// queue rejected it); release its probe slot so half-open cannot
-    /// deadlock waiting for results that will never come.
-    pub fn cancel(&mut self) {
-        if self.state == BreakerState::HalfOpen && self.probes_granted > 0 {
-            self.probes_granted -= 1;
         }
     }
 
@@ -344,19 +335,5 @@ mod tests {
         }
         assert_eq!(b.transitions_to_open, 2);
         assert_eq!(b.transitions_to_open, b.trips);
-    }
-
-    #[test]
-    fn cancel_releases_a_probe_slot() {
-        let mut b = CircuitBreaker::new(config());
-        for _ in 0..4 {
-            b.admit(0);
-            b.record(0, false, 1);
-        }
-        assert_eq!(b.admit(500), Admission::Admit);
-        assert_eq!(b.admit(500), Admission::Admit);
-        assert_eq!(b.admit(500), Admission::Shed);
-        b.cancel(); // one probe was never executed (queue full)
-        assert_eq!(b.admit(500), Admission::Admit);
     }
 }

@@ -148,7 +148,7 @@ impl ResponseCache {
             outcome,
         };
         let mut inner = self.inner.lock().unwrap();
-        // Already present (racing workers): refresh in place.
+        // Already present (racing loops): refresh in place.
         for i in 0..WAYS {
             let idx = (base + i) & self.mask;
             match &inner.slots[idx] {

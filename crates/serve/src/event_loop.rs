@@ -1,17 +1,26 @@
 //! The readiness-driven connection core (DESIGN.md §14).
 //!
-//! One event-loop thread owns every connection's state machine — frame
-//! scanning, response ordering, write-back — and talks to the rest of
-//! the daemon through two narrow interfaces:
+//! One event-loop thread owns the state machine of every connection it
+//! accepted — frame scanning, response ordering, write-back — and talks
+//! to the rest of the daemon through two narrow interfaces:
 //!
 //! * [`Service`]: the daemon side. The loop hands it complete frames
-//!   with a [`Completion`]; the service answers inline (health, stats,
-//!   cache hits, sheds) or asynchronously (worker pool, timer wheel).
+//!   with a [`Completion`]; the service answers inline (the shard
+//!   classifies on the loop thread) or later from its own I/O or
+//!   threads (the router's forwards and admin plane).
 //! * [`Notifier`]: the wake-up side. Filling a [`Completion`] from any
 //!   thread queues the connection for a write-back flush and wakes the
 //!   loop through an `eventfd` only when it is actually parked in
-//!   `epoll_wait` — a filled response during a busy burst costs a queue
-//!   push and nothing else.
+//!   `epoll_wait` — a fill on the loop thread itself costs a queue push
+//!   and nothing else.
+//!
+//! Several loops may serve one port: each gets a clone of the bound
+//! listener and registers it with `EPOLLEXCLUSIVE`, so a connect wakes
+//! one idle loop, and the loop that accepts a connection owns it. The
+//! kernel wakes the first idle loop in registration order, so a loop
+//! that accepted re-registers its clone, which sends it to the back of
+//! that order: successive connects go round the idle loops instead of
+//! all landing on the first.
 //!
 //! A service may also put sockets of its own on the loop: at start it is
 //! handed a [`LoopIo`] that registers non-blocking sockets on the loop's
@@ -28,13 +37,17 @@
 //!
 //! Slow-loris cutoffs ride the loop's own timer wheel: each read that
 //! leaves a partial frame re-arms a deadline; a deadline that fires
-//! while the frame is still partial cuts the connection with **zero
-//! worker involvement**.
+//! while the frame is still partial cuts the connection. The loop ticks
+//! only while something is armed (a cutoff, an accept pause, or a
+//! service that [needs the tick](Service::needs_tick)); otherwise it
+//! sleeps in `epoll_wait` until the next event or wake.
 
 use crate::clock::Clock;
 use crate::framing::{FrameScanner, Scan};
 use crate::timer::TimerWheel;
-use silentcert_net::epoll::{Poller, Registrar, WakeFd, EPOLLIN, EPOLLOUT, EPOLLRDHUP};
+use silentcert_net::epoll::{
+    Poller, Registrar, WakeFd, EPOLLEXCLUSIVE, EPOLLIN, EPOLLOUT, EPOLLRDHUP,
+};
 use silentcert_obs::metrics::{Counter, Gauge, Histogram, Registry};
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, ErrorKind, Read, Write};
@@ -52,9 +65,9 @@ pub type Token = u64;
 /// the supervisor to deliver a stop request).
 pub const WAKE: Token = u64::MAX;
 
-/// One request's rendezvous point between the loop, a worker, and the
-/// timer wheel. First `fill` wins (the deadline/completion race is
-/// benign); the loop then `take`s the line exactly once for write-back.
+/// One request's rendezvous point between the loop and whoever answers
+/// it. The first `fill` wins; the loop then `take`s the line exactly
+/// once for write-back.
 pub struct ResponseSlot {
     state: Mutex<SlotState>,
 }
@@ -81,11 +94,6 @@ impl ResponseSlot {
         }
         *s = SlotState::Filled(line);
         true
-    }
-
-    /// Whether a response has been installed (or already written).
-    pub fn is_filled(&self) -> bool {
-        !matches!(*self.state.lock().unwrap(), SlotState::Empty)
     }
 
     /// Consume the response for write-back (loop side).
@@ -115,9 +123,9 @@ impl Default for ResponseSlot {
 /// Either the loop sees the token in its pre-wait recheck, or the
 /// notifier sees `polling` and wakes it — there is no interleaving where
 /// a token waits a full timeout.
-#[derive(Clone, Default)]
+#[derive(Clone)]
 pub struct Notifier {
-    inner: Option<Arc<NotifierInner>>,
+    inner: Arc<NotifierInner>,
 }
 
 struct NotifierInner {
@@ -127,55 +135,39 @@ struct NotifierInner {
 }
 
 impl Notifier {
-    /// A notifier whose `notify` is a no-op: a placeholder until the
-    /// loop is running.
-    pub fn disabled() -> Notifier {
-        Notifier { inner: None }
-    }
-
     /// A live notifier; `waker` must make the loop's `epoll_wait` return.
     pub fn new(waker: Box<dyn Fn() + Send + Sync>) -> Notifier {
         Notifier {
-            inner: Some(Arc::new(NotifierInner {
+            inner: Arc::new(NotifierInner {
                 queue: Mutex::new(Vec::new()),
                 polling: AtomicBool::new(false),
                 waker,
-            })),
+            }),
         }
     }
 
     /// Queue `token` for a flush and wake the loop if it is parked.
     pub fn notify(&self, token: Token) {
-        if let Some(inner) = &self.inner {
-            inner.queue.lock().unwrap().push(token);
-            if inner.polling.swap(false, Ordering::AcqRel) {
-                (inner.waker)();
-            }
+        self.inner.queue.lock().unwrap().push(token);
+        if self.inner.polling.swap(false, Ordering::AcqRel) {
+            (self.inner.waker)();
         }
     }
 
     fn arm(&self) {
-        if let Some(inner) = &self.inner {
-            inner.polling.store(true, Ordering::Release);
-        }
+        self.inner.polling.store(true, Ordering::Release);
     }
 
     fn disarm(&self) {
-        if let Some(inner) = &self.inner {
-            inner.polling.store(false, Ordering::Release);
-        }
+        self.inner.polling.store(false, Ordering::Release);
     }
 
     fn has_pending(&self) -> bool {
-        self.inner
-            .as_ref()
-            .is_some_and(|i| !i.queue.lock().unwrap().is_empty())
+        !self.inner.queue.lock().unwrap().is_empty()
     }
 
     fn drain(&self, out: &mut Vec<Token>) {
-        if let Some(inner) = &self.inner {
-            out.append(&mut inner.queue.lock().unwrap());
-        }
+        out.append(&mut self.inner.queue.lock().unwrap());
     }
 }
 
@@ -206,11 +198,6 @@ impl Completion {
         won
     }
 
-    /// Whether a response (ours or a rival's) is already installed.
-    pub fn is_filled(&self) -> bool {
-        self.slot.is_filled()
-    }
-
     /// The connection this response belongs to (services key
     /// per-connection state — e.g. retry budgets — off this).
     pub fn token(&self) -> Token {
@@ -229,9 +216,10 @@ pub struct Readiness {
 
 /// What the daemon plugs into the loop.
 pub trait Service: Send + Sync + 'static {
-    /// One complete, non-empty frame. Fill `done` now (inline ops,
-    /// sheds, cache hits) or later (queued work, deadlines) — every
-    /// frame MUST eventually fill it or its connection stalls.
+    /// One complete, non-empty frame. Fill `done` now (the shard
+    /// answers every frame inline) or later (the router's forwards and
+    /// admin verbs) — every frame MUST eventually fill it or its
+    /// connection stalls.
     fn on_frame(&self, line: String, done: Completion);
 
     /// The `413` line for an oversized frame (also counts it).
@@ -249,6 +237,15 @@ pub trait Service: Send + Sync + 'static {
 
     /// Housekeeping tick from the loop thread.
     fn on_tick(&self, _now_ms: u64) {}
+
+    /// Whether the loop must keep ticking while it has no deadline of
+    /// its own armed: yes for a service with deadlines on its own wheel
+    /// (the router's hedges) or a self-conducted drain. A service that
+    /// answers no must wake the loop (notify [`WAKE`]) when
+    /// [`Service::draining`] or [`Service::should_stop`] turns true.
+    fn needs_tick(&self) -> bool {
+        true
+    }
 
     /// The loop is starting: `io` registers the service's own
     /// non-blocking sockets on the loop's poller. Called once, before the
@@ -282,7 +279,8 @@ pub trait Service: Send + Sync + 'static {
 /// Loop tunables (the daemon maps its `ServeConfig` onto this).
 #[derive(Debug, Clone)]
 pub struct CoreConfig {
-    /// Housekeeping cadence: timer-wheel advance, drain checks, lag
+    /// Housekeeping cadence while anything is armed (see
+    /// [`Service::needs_tick`]): timer-wheel advance, drain checks, lag
     /// measurement.
     pub tick_ms: u64,
     /// Slow-loris cutoff: how long a *partial* frame may stall.
@@ -311,6 +309,8 @@ impl Default for CoreConfig {
 /// Loop-health series, registered under a caller-chosen prefix so the
 /// daemon (`silentcert_serve_event_loop_*`) and the router
 /// (`silentcert_router_event_loop_*`) stay distinguishable in one scrape.
+/// Loops registered under one prefix share the cells: every loop moves
+/// the gauges by add/sub, so they read the sum over all loops.
 pub struct LoopStats {
     /// Readiness events delivered by `epoll_wait`.
     pub ready_events: Arc<Counter>,
@@ -318,18 +318,24 @@ pub struct LoopStats {
     /// completions without one).
     pub wakeups: Arc<Counter>,
     /// File descriptors currently registered (connections + listener +
-    /// waker).
+    /// waker on each loop).
     pub registered_fds: Arc<Gauge>,
-    /// How late each housekeeping tick fired, in milliseconds.
+    /// Client connections this loop owns (labeled by loop index, so
+    /// the spread across loops sharing a port shows).
+    pub connections: Arc<Gauge>,
+    /// How late each housekeeping tick fired, in milliseconds (a loop
+    /// that slept with nothing armed records none).
     pub lag_ms: Arc<Histogram>,
-    /// 1 while accepting is paused after fd exhaustion (EMFILE/ENFILE):
-    /// the listener is out of the interest set until a backoff elapses,
-    /// instead of hot-spinning on a level-triggered ready listener.
+    /// Loops whose accepting is paused after fd exhaustion
+    /// (EMFILE/ENFILE): the listener is out of the interest set until a
+    /// backoff elapses, instead of hot-spinning on a level-triggered
+    /// ready listener.
     pub accept_paused: Arc<Gauge>,
 }
 
 impl LoopStats {
-    pub fn register(registry: &Registry, prefix: &str) -> LoopStats {
+    /// The series of loop number `index` under `prefix`.
+    pub fn register(registry: &Registry, prefix: &str, index: usize) -> LoopStats {
         // The pause gauge is a daemon-level signal, not a loop
         // internals one: `silentcert_serve_accept_paused`, not
         // `silentcert_serve_event_loop_accept_paused`.
@@ -338,6 +344,10 @@ impl LoopStats {
             ready_events: registry.counter(&format!("{prefix}ready_events_total")),
             wakeups: registry.counter(&format!("{prefix}wakeups_total")),
             registered_fds: registry.gauge(&format!("{prefix}registered_fds")),
+            connections: registry.gauge_with(
+                &format!("{prefix}connections"),
+                &[("loop", &index.to_string())],
+            ),
             lag_ms: registry.histogram(&format!("{prefix}lag_ms")),
             accept_paused: registry.gauge(&format!("{base}accept_paused")),
         }
@@ -359,6 +369,9 @@ const READS_PER_EVENT: usize = 16;
 const ACCEPT_PAUSE_MS: u64 = 50;
 /// `EMFILE`/`ENFILE`: the process (or system) fd table is full.
 const FD_EXHAUSTED: [i32; 2] = [23, 24];
+/// The listener's interest: one wake per connect across the loops that
+/// share the port.
+const LISTEN: u32 = EPOLLIN | EPOLLEXCLUSIVE;
 
 /// The loop's poller as lent to its [`Service`] (see
 /// [`Service::on_attach`]). Service tokens live in their own space:
@@ -403,7 +416,8 @@ pub struct EventCore {
 }
 
 impl EventCore {
-    /// Spawn the loop thread over an already-bound listener.
+    /// Spawn the loop thread over an already-bound listener (or a
+    /// `try_clone` of one another loop also serves).
     pub fn start(
         listener: TcpListener,
         service: Arc<dyn Service>,
@@ -414,8 +428,9 @@ impl EventCore {
         listener.set_nonblocking(true)?;
         let poller = Poller::new()?;
         let wake = Arc::new(WakeFd::new()?);
-        poller.add(listener.as_raw_fd(), EPOLLIN, LISTENER)?;
+        poller.add(listener.as_raw_fd(), LISTEN, LISTENER)?;
         poller.add(wake.raw(), EPOLLIN, WAKER)?;
+        stats.registered_fds.add(2);
         service.on_attach(LoopIo {
             registrar: poller.registrar(),
         });
@@ -445,6 +460,11 @@ impl EventCore {
     /// A handle for filling completions / waking the loop.
     pub fn notifier(&self) -> Notifier {
         self.notifier.clone()
+    }
+
+    /// Whether the loop thread is still running.
+    pub fn is_running(&self) -> bool {
+        self.thread.as_ref().is_some_and(|t| !t.is_finished())
     }
 
     /// Join the loop thread (after `should_stop` went true).
@@ -527,9 +547,27 @@ fn run_loop(
                         conn.dead = true;
                     }
                 }
-                reap(&mut conns, token, &poller, &service);
+                reap(&mut conns, token, &poller, &service, &stats);
             }
             next_tick = now + tick_ms;
+        }
+
+        // Completions queued by inline fills and other threads. A
+        // `WAKE` is taken here, before the drain and stop checks below,
+        // so a wake sent after raising either flag is never consumed
+        // without the flag being seen.
+        tokens.clear();
+        notifier.drain(&mut tokens);
+        tokens.sort_unstable();
+        tokens.dedup();
+        for &token in &tokens {
+            if token == WAKE {
+                continue;
+            }
+            if let Some(conn) = conns.get_mut(&token) {
+                pump(conn, token, &service, &config, &notifier, &poller);
+            }
+            reap(&mut conns, token, &poller, &service, &stats);
         }
 
         // Re-arm a paused listener once the backoff elapsed (a
@@ -537,27 +575,29 @@ fn run_loop(
         if let Some(resume) = accept_resume_at {
             if now >= resume {
                 match &listener {
-                    Some(l) if poller.add(l.as_raw_fd(), EPOLLIN, LISTENER).is_err() => {
+                    Some(l) if poller.add(l.as_raw_fd(), LISTEN, LISTENER).is_err() => {
                         // Still starved (the poller add itself can
                         // hit fd pressure); extend the pause.
                         accept_resume_at = Some(now + ACCEPT_PAUSE_MS);
                     }
                     _ => {
                         accept_resume_at = None;
-                        stats.accept_paused.set(0);
+                        stats.accept_paused.sub(1);
                     }
                 }
             }
         }
 
-        // Drain start: close the door. New connects are refused from
-        // here on; established connections finish their exchanges.
+        // Drain start: drop this loop's listener. The port refuses new
+        // connects once every loop sharing it has; established
+        // connections finish their exchanges.
         if listener.is_some() && service.draining() {
-            if accept_resume_at.is_none() {
+            if accept_resume_at.take().is_some() {
+                stats.accept_paused.sub(1);
+            } else {
                 let _ = poller.delete(listener_fd);
             }
-            accept_resume_at = None;
-            stats.accept_paused.set(0);
+            stats.registered_fds.sub(1);
             listener = None;
         }
 
@@ -571,31 +611,15 @@ fn run_loop(
             }
         }
 
-        // Completions queued by workers / the wheel / inline fills.
-        tokens.clear();
-        notifier.drain(&mut tokens);
-        tokens.sort_unstable();
-        tokens.dedup();
-        for &token in &tokens {
-            if token == WAKE {
-                continue;
-            }
-            if let Some(conn) = conns.get_mut(&token) {
-                pump(conn, token, &service, &config, &notifier, &poller);
-            }
-            reap(&mut conns, token, &poller, &service);
-        }
-
-        stats
-            .registered_fds
-            .set(conns.len() as i64 + 1 + i64::from(listener.is_some()));
-
         // Park. The arm/recheck order closes the missed-wakeup race;
         // anything queued since the drain above turns the wait into a
-        // poll.
+        // poll. With nothing armed the wait has no timeout.
         notifier.arm();
+        let idle = loris.is_empty() && accept_resume_at.is_none() && !service.needs_tick();
         let timeout = if notifier.has_pending() || stopping {
             0
+        } else if idle {
+            -1
         } else {
             next_tick.saturating_sub(clock.now_ms()).min(tick_ms) as i32
         };
@@ -604,6 +628,10 @@ fn run_loop(
             break; // epoll itself failed: unrecoverable
         }
         notifier.disarm();
+        if idle {
+            // An idle sleep is not a late tick.
+            next_tick = clock.now_ms() + tick_ms;
+        }
         stats.ready_events.add(events.len() as u64);
 
         for ev in events.iter().copied() {
@@ -613,25 +641,24 @@ fn run_loop(
                     stats.wakeups.inc();
                 }
                 LISTENER => {
-                    if let Some(l) = &listener {
-                        if accept_resume_at.is_none()
-                            && accept_all(
-                                l,
-                                &poller,
-                                &mut conns,
-                                &mut next_token,
-                                &service,
-                                &config,
-                            )
-                        {
-                            // fd exhaustion. A level-triggered ready
-                            // listener we cannot accept from would
-                            // spin the loop at 100% CPU; drop accept
-                            // interest and re-arm after a backoff.
-                            let _ = poller.delete(listener_fd);
-                            accept_resume_at = Some(clock.now_ms() + ACCEPT_PAUSE_MS);
-                            stats.accept_paused.set(1);
-                        }
+                    let Some(l) = listener.as_ref().filter(|_| accept_resume_at.is_none()) else {
+                        continue;
+                    };
+                    let taken =
+                        accept_all(l, &poller, &mut conns, &mut next_token, &service, &stats);
+                    if taken == Some(0) {
+                        continue; // another loop took it
+                    }
+                    // Re-registering sends this loop to the back of the
+                    // listener's wake order (see the module doc). On fd
+                    // exhaustion (`None`) the listener stays out: a
+                    // level-triggered ready listener we cannot accept
+                    // from would spin the loop at 100% CPU, so it is
+                    // re-armed after a backoff.
+                    let _ = poller.delete(listener_fd);
+                    if taken.is_none() || poller.add(listener_fd, LISTEN, LISTENER).is_err() {
+                        accept_resume_at = Some(clock.now_ms() + ACCEPT_PAUSE_MS);
+                        stats.accept_paused.add(1);
                     }
                 }
                 token if token & SERVICE_BIT != 0 => service.on_io(
@@ -664,18 +691,24 @@ fn run_loop(
                     } else if ev.writable {
                         pump(conn, token, &service, &config, &notifier, &poller);
                     }
-                    reap(&mut conns, token, &poller, &service);
+                    reap(&mut conns, token, &poller, &service, &stats);
                 }
             }
         }
     }
 
     // Final pass: hand back whatever flushed, then drop everything.
+    if accept_resume_at.is_some() {
+        stats.accept_paused.sub(1);
+    }
+    stats
+        .registered_fds
+        .sub(conns.len() as i64 + 1 + i64::from(listener.is_some()));
+    stats.connections.sub(conns.len() as i64);
     for (token, conn) in conns.drain() {
         let _ = poller.delete(conn.fd);
         service.on_conn_close(token);
     }
-    stats.registered_fds.set(0);
 }
 
 fn reap(
@@ -683,25 +716,30 @@ fn reap(
     token: Token,
     poller: &Poller,
     service: &Arc<dyn Service>,
+    stats: &LoopStats,
 ) {
     if conns.get(&token).is_some_and(|c| c.dead) {
         let conn = conns.remove(&token).expect("checked above");
         let _ = poller.delete(conn.fd);
+        stats.registered_fds.sub(1);
+        stats.connections.sub(1);
         service.on_conn_close(token);
     }
 }
 
-/// Accept until the backlog is dry. Returns `true` when the process
-/// ran out of file descriptors (the caller must pause accepting —
-/// the listener stays readable and would otherwise hot-spin).
+/// Accept until the backlog is dry. Returns how many connections this
+/// loop took, or `None` when the process ran out of file descriptors
+/// (the caller must pause accepting — the listener stays readable and
+/// would otherwise hot-spin).
 fn accept_all(
     listener: &TcpListener,
     poller: &Poller,
     conns: &mut HashMap<Token, Conn>,
     next_token: &mut Token,
     service: &Arc<dyn Service>,
-    _config: &CoreConfig,
-) -> bool {
+    stats: &LoopStats,
+) -> Option<usize> {
+    let mut taken = 0;
     loop {
         match listener.accept() {
             Ok((stream, _)) => {
@@ -716,6 +754,9 @@ fn accept_all(
                 if poller.add(fd, interest, token).is_err() {
                     continue; // fd pressure: drop the connection
                 }
+                stats.registered_fds.add(1);
+                stats.connections.add(1);
+                taken += 1;
                 conns.insert(
                     token,
                     Conn {
@@ -734,13 +775,13 @@ fn accept_all(
                 );
                 service.on_conn_open(token);
             }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => return false,
+            Err(e) if e.kind() == ErrorKind::WouldBlock => return Some(taken),
             Err(e) if e.raw_os_error().is_some_and(|n| FD_EXHAUSTED.contains(&n)) => {
-                return true;
+                return None;
             }
             // Other transient accept errors (ECONNABORTED...):
             // yield; readiness will re-report if more is queued.
-            Err(_) => return false,
+            Err(_) => return Some(taken),
         }
     }
 }

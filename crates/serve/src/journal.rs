@@ -1,9 +1,10 @@
 //! The crash-safe request journal.
 //!
-//! Every classification the daemon completes is appended here; worker
-//! panics are journaled too, so every 500 the daemon returns maps to a
-//! durable panic record. The v2 format protects each record with its own
-//! checksum so flushes can *append* instead of rewriting the whole file:
+//! Every classification the daemon completes is appended here;
+//! classification panics are journaled too, so every 500 the daemon
+//! returns maps to a durable panic record. The v2 format protects each
+//! record with its own checksum so flushes can *append* instead of
+//! rewriting the whole file:
 //!
 //! ```text
 //! silentcert-serve-journal v2
@@ -40,7 +41,7 @@ const HEADER: &str = "silentcert-serve-journal v2";
 /// Hex digits of the per-line checksum (64-bit prefix of SHA-256).
 const CHECK_LEN: usize = 16;
 
-/// Result string journaled when a worker panics mid-classification.
+/// Result string journaled when a classification panics.
 /// Replay counts these instead of re-classifying them: the journaled
 /// "result" is the panic itself, not a classification.
 pub const PANIC_RESULT: &str = "panic: worker panicked";
@@ -54,7 +55,7 @@ pub struct JournalEntry {
     pub der: Vec<u8>,
     pub chain: Vec<Vec<u8>>,
     /// The canonical `Display` form of the classification, or
-    /// [`PANIC_RESULT`] for a journaled worker panic.
+    /// [`PANIC_RESULT`] for a journaled classification panic.
     pub result: String,
 }
 
@@ -142,7 +143,7 @@ impl JournalEntry {
     }
 }
 
-/// Thread-shared journal: workers append, the supervisor flushes.
+/// Thread-shared journal: event loops append, the supervisor flushes.
 pub struct Journal {
     path: PathBuf,
     state: Mutex<JournalState>,
@@ -340,7 +341,7 @@ pub struct ReplayReport {
     /// Entries whose re-classification differed from the journaled
     /// result — zero for a correct drain.
     pub mismatches: usize,
-    /// Journaled worker-panic records (counted, not re-classified).
+    /// Journaled panic records (counted, not re-classified).
     pub panics: usize,
     /// Whether a torn trailing record was tolerated on read.
     pub truncated_tail: bool,

@@ -2,11 +2,11 @@
 //!
 //! Turns the corpus-trained validator into an online service with the
 //! operational properties a measurement pipeline's backend needs:
-//! bounded queueing with explicit admission control, per-request
-//! deadlines on a timer wheel, a three-state circuit breaker shedding
-//! classification load when SLOs are breached, supervised workers that
-//! survive panics, and a graceful drain that flushes a crash-safe,
-//! replayable request journal. See `DESIGN.md` §10 for the architecture.
+//! event loops that share one port and classify each frame in the turn
+//! that read it, a three-state circuit breaker shedding classification
+//! load when SLOs are breached, per-request panic isolation, and a
+//! graceful drain that flushes a crash-safe, replayable request journal.
+//! See `DESIGN.md` §10 for the architecture.
 //!
 //! Observability (DESIGN.md §11): every counter lives in a per-server
 //! `silentcert_obs` registry — the legacy `stats` verb and the
@@ -30,7 +30,6 @@ pub mod journal;
 pub mod json;
 pub mod loadgen;
 pub mod protocol;
-pub mod queue;
 pub mod server;
 pub mod signal;
 pub mod timer;
@@ -45,6 +44,5 @@ pub use event_loop::{
 pub use framing::{FrameScanner, Scan};
 pub use journal::{read_journal, replay, Journal, JournalReadout, ReplayReport, PANIC_RESULT};
 pub use loadgen::{fetch_metrics, ClientFaultPlan, LoadReport, LoadgenOptions};
-pub use queue::{BoundedQueue, PushError};
 pub use server::{start, DrainSummary, ServeConfig, ServerHandle};
 pub use timer::TimerWheel;

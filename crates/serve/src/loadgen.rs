@@ -180,7 +180,6 @@ pub struct LoadReport {
     pub answered: u64,
     pub code_200: u64,
     pub code_400: u64,
-    pub code_408: u64,
     pub code_413: u64,
     pub code_500: u64,
     /// Router-level refusals (cluster front only).
@@ -202,14 +201,17 @@ pub struct LoadReport {
     /// Admin actions (kills included) refused or lost at the transport
     /// level.
     pub admin_failures: u64,
+    /// Time until every request and fault connection was done. The run
+    /// still waits out slow-loris holds before it reports; that tail is
+    /// not counted here.
     pub elapsed_ms: u64,
     pub p50_us: u64,
     pub p99_us: u64,
     pub max_us: u64,
     /// The daemon's metrics snapshot (the `metrics` verb's JSON object),
     /// scraped after the run while every connection is still open —
-    /// queue depth, latency quantiles, shed/408/500 counters, breaker
-    /// transitions, registered fds.
+    /// in-flight classifications, latency quantiles, shed/500 counters,
+    /// breaker transitions, registered fds.
     pub daemon_metrics: Option<String>,
 }
 
@@ -223,7 +225,7 @@ impl LoadReport {
         }
     }
 
-    /// Achieved request throughput over the whole run.
+    /// Achieved request throughput over [`LoadReport::elapsed_ms`].
     pub fn qps(&self) -> f64 {
         if self.elapsed_ms == 0 {
             0.0
@@ -236,7 +238,7 @@ impl LoadReport {
     pub fn to_json(&self) -> String {
         let mut out = format!(
             concat!(
-                "{{\"answered\":{},\"code_200\":{},\"code_400\":{},\"code_408\":{},",
+                "{{\"answered\":{},\"code_200\":{},\"code_400\":{},",
                 "\"code_413\":{},\"code_500\":{},\"code_502\":{},\"code_503\":{},\"code_other\":{},",
                 "\"faults_slow_loris\":{},\"faults_disconnect\":{},\"faults_oversize\":{},",
                 "\"faults_garbage\":{},\"transport_errors\":{},\"cluster_kills\":{},",
@@ -246,7 +248,6 @@ impl LoadReport {
             self.answered,
             self.code_200,
             self.code_400,
-            self.code_408,
             self.code_413,
             self.code_500,
             self.code_502,
@@ -703,7 +704,6 @@ fn count_code(report: &mut LoadReport, code: Option<u32>) {
     match code {
         Some(200) => report.code_200 += 1,
         Some(400) => report.code_400 += 1,
-        Some(408) => report.code_408 += 1,
         Some(413) => report.code_413 += 1,
         Some(500) => report.code_500 += 1,
         Some(502) => report.code_502 += 1,
@@ -745,6 +745,8 @@ pub fn run(opts: &LoadgenOptions, requests: &[String]) -> LoadReport {
     let mut admin = AdminDriver::new(opts);
     let mut last_progress = Instant::now();
     let mut events: Vec<Event> = Vec::new();
+    // Stamped once the request stream is done; holds may outlast it.
+    let mut elapsed_ms: Option<u64> = None;
 
     loop {
         // Establish connections that are due under the ramp schedule.
@@ -762,15 +764,18 @@ pub fn run(opts: &LoadgenOptions, requests: &[String]) -> LoadReport {
         let now = Instant::now();
         engine.holds.retain(|(until, _)| now < *until);
 
-        // Done?
+        // Done? The request stream ends when every request and fault
+        // connection has; the run ends once the holds ran out too.
         if next_connect == connections
             && engine.faults.is_empty()
-            && engine.holds.is_empty()
             && conns
                 .iter()
                 .all(|c| c.as_ref().is_none_or(ClientConn::finished))
         {
-            break;
+            elapsed_ms.get_or_insert(started.elapsed().as_millis() as u64);
+            if engine.holds.is_empty() {
+                break;
+            }
         }
         if last_progress.elapsed() >= STALL_ABORT {
             // Wedged: every conn still unfinished counts as a
@@ -841,7 +846,7 @@ pub fn run(opts: &LoadgenOptions, requests: &[String]) -> LoadReport {
     }
 
     let mut report = std::mem::take(&mut engine.report);
-    report.elapsed_ms = started.elapsed().as_millis() as u64;
+    report.elapsed_ms = elapsed_ms.unwrap_or_else(|| started.elapsed().as_millis() as u64);
     // A kill or reconfiguration still in flight must finish before the
     // run reports (and before any trailing `--shutdown` drains the
     // fleet mid-restart).

@@ -4,7 +4,7 @@
 //!
 //! ```text
 //! request   = "{" fields "}" LF
-//! fields    = op [, id] [, cert] [, chain] [, deadline_ms]
+//! fields    = op [, id] [, cert] [, chain]
 //! op        = "validate" | "classify" | "health" | "stats"
 //!           | "metrics" | "shutdown" | "chaos_panic"
 //!           | "chaos_kill_shard"                   ; cluster front only
@@ -18,13 +18,13 @@
 //!
 //! Responses carry a `code` with HTTP-flavoured semantics so shedding is
 //! distinguishable from failure: `200` served, `400` malformed frame,
-//! `408` deadline exceeded, `413` frame too large, `500` worker panic,
-//! `502` router refusal (no shard for the key / retry budget spent),
-//! `503` shed (queue full, breaker open, or draining).
+//! `413` frame too large, `500` classification panic, `502` router
+//! refusal (no shard for the key / retry budget spent), `503` shed
+//! (breaker open or draining).
 //!
-//! `health`, `stats`, and `metrics` are answered inline on the
-//! connection thread — they never enter the work queue, so they stay
-//! live while the breaker sheds classification load. `metrics` returns
+//! `health`, `stats`, and `metrics` are answered on the event loop
+//! without passing admission, so they stay live while the breaker
+//! sheds classification load. `metrics` returns
 //! the full observability snapshot (DESIGN.md §11): as a JSON object by
 //! default, or as a Prometheus text exposition carried in a JSON string
 //! when the frame sets `"format":"prometheus"`. `chaos_panic` (fault
@@ -40,7 +40,6 @@ use silentcert_x509::Certificate;
 pub mod code {
     pub const OK: u32 = 200;
     pub const BAD_REQUEST: u32 = 400;
-    pub const DEADLINE: u32 = 408;
     pub const TOO_LARGE: u32 = 413;
     pub const PANIC: u32 = 500;
     /// Router-level refusal: no shard available for the key, or the
@@ -60,7 +59,8 @@ pub enum Op {
     /// Full metrics snapshot (JSON or Prometheus exposition).
     Metrics,
     Shutdown,
-    /// Test-only: makes the executing worker panic (supervisor drill).
+    /// Test-only: makes the classification panic (panic-isolation
+    /// drill).
     ChaosPanic,
     /// Cluster-only: asks the router's supervisor to SIGKILL a shard
     /// (failover drill). A plain shard answers `400` — only the cluster
@@ -133,8 +133,6 @@ pub struct Request {
     /// Presented chain, already parsed. Unparseable chain entries are a
     /// `400`: the chain is transport, not data.
     pub chain: Vec<Certificate>,
-    /// Client-requested deadline override (capped by the server).
-    pub deadline_ms: Option<u64>,
     /// Rendering requested for `metrics` (`"prometheus"` or default JSON).
     pub format: Option<String>,
     /// Target shard for `chaos_kill_shard` (router picks one if absent).
@@ -178,13 +176,6 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
         .and_then(Value::as_str)
         .unwrap_or_default()
         .to_string();
-    let deadline_ms = v.get("deadline_ms").and_then(Value::as_f64).map(|f| {
-        if f.is_finite() && f >= 0.0 {
-            f as u64
-        } else {
-            0
-        }
-    });
     let mut der = Vec::new();
     let mut chain = Vec::new();
     if matches!(op, Op::Validate | Op::Classify) {
@@ -215,7 +206,6 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
         id,
         der,
         chain,
-        deadline_ms,
         format,
         shard,
     })
@@ -290,7 +280,7 @@ pub struct FastFrame<'a> {
 ///
 /// with no escape sequences and no extra fields — exactly what the
 /// corpus generator and any straightforward client emit. Anything else
-/// (reordered keys, escapes, `deadline_ms`, unicode ids) returns `None`
+/// (reordered keys, escapes, extra keys, unicode ids) returns `None`
 /// and takes the full [`parse_request`] path, so this is a fast lane,
 /// never a second dialect: on `Some`, `parse_request` would succeed
 /// with identical fields. The serve layer uses the borrowed cert/chain
@@ -376,7 +366,6 @@ mod tests {
         assert_eq!(r.der, vec![0xde, 0xad, 0xbe, 0xef]);
         let r = parse_request(r#"{"op":"validate","cert":"deadbeef","deadline_ms":50}"#).unwrap();
         assert_eq!(r.der, vec![0xde, 0xad, 0xbe, 0xef]);
-        assert_eq!(r.deadline_ms, Some(50));
         assert_eq!(r.id, "");
     }
 

@@ -6,7 +6,7 @@
 //! flips an `AtomicBool` (the async-signal-safe subset); a watcher
 //! thread polls the flag and triggers the daemon's normal drain path,
 //! so signal shutdown and `shutdown`-frame shutdown share every drain
-//! invariant (backlog finishes, journal flushes, force-shed deadline).
+//! invariant (in-flight work finishes, journal flushes, drain deadline).
 //!
 //! The FFI is a single `signal(2)` declaration rather than a libc crate
 //! dependency: the build environment is offline and the workspace is

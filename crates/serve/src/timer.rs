@@ -1,11 +1,9 @@
-//! A hashed timer wheel for per-request deadlines.
+//! A hashed timer wheel for loop-owned deadlines.
 //!
-//! The server gives every queued request a deadline and schedules it
-//! here; the supervisor thread calls [`TimerWheel::advance`] on each
-//! housekeeping tick and fires whatever expired, which lets the waiting
-//! connection answer `408` *and* lets workers skip requests that are
-//! already dead — under overload the queue would otherwise fill with
-//! work nobody is waiting for.
+//! The event loop schedules each connection's slow-loris cutoff here,
+//! and the cluster router its hedge and retry deadlines; the loop calls
+//! [`TimerWheel::advance`] on each housekeeping tick and acts on
+//! whatever expired.
 //!
 //! Classic hashed-wheel layout: `slots` buckets of `tick_ms` granularity,
 //! each holding the timers that hash onto it. A timer more than one
@@ -13,8 +11,8 @@
 //! due (checked on expiry), so far-future deadlines cost nothing extra.
 //! Time is caller-supplied milliseconds — virtual-clock compatible.
 
-/// A timer wheel holding values of type `T` (the server stores the
-/// request's response slot).
+/// A timer wheel holding values of type `T` (the event loop stores a
+/// connection token and epoch).
 #[derive(Debug)]
 pub struct TimerWheel<T> {
     /// Bucket granularity in milliseconds.

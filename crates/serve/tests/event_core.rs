@@ -1,20 +1,23 @@
-//! Event-core differential and timer tests (DESIGN.md §14).
+//! Event-core differential, timer and port-sharing tests (DESIGN.md §14).
 //!
-//! The epoll readiness loop owns every connection's read/write state
-//! machine, so its two risk surfaces are (a) frame reassembly under
-//! arbitrary TCP fragmentation and (b) deadline/slow-loris enforcement
-//! when no worker ever touches the request. Both are pinned here:
+//! Each epoll readiness loop owns the read/write state machine of every
+//! connection it accepted, so its risk surfaces are (a) frame reassembly
+//! under arbitrary TCP fragmentation, (b) slow-loris enforcement on a
+//! loop that also classifies, and (c) several loops sharing one port.
+//! All three are pinned here:
 //!
 //! * a proptest streams the same canonical request bytes through
 //!   adversarial chunk splits and asserts the response stream is
 //!   byte-identical to the blocking reference exchange;
-//! * timer tests kill the only worker, then prove request deadlines
-//!   (`408`) and slow-loris cuts still fire — the loop and supervisor
-//!   enforce them with zero worker involvement.
+//! * a timer test panics a classification on the only loop, then proves
+//!   the loop still cuts a slow-loris connection and serves the rest;
+//! * a port test opens connections across four loops and checks their
+//!   summed fd gauge, then that the drain closed the port.
 
 use proptest::prelude::*;
 use silentcert_crypto::hex::encode as hex;
 use silentcert_crypto::sig::{KeyPair, SimKeyPair};
+use silentcert_obs::metrics::SeriesValue;
 use silentcert_serve::{server, ServeConfig, ServerHandle};
 use silentcert_validate::{TrustStore, Validator};
 use silentcert_x509::{CertificateBuilder, Name, Time};
@@ -175,87 +178,41 @@ proptest! {
     }
 }
 
-/// A config whose only worker can be killed and will not come back for
-/// a while: panics take the pool to zero, `restart_backoff_ms` keeps it
-/// there long enough for the loop's timers to be the only live actor.
-fn dead_worker_config() -> ServeConfig {
+/// One loop, a short slow-loris cutoff, and chaos ops for the panic.
+fn one_loop_config() -> ServeConfig {
     ServeConfig {
         workers: 1,
-        deadline_ms: 100,
         read_timeout_ms: 300,
-        restart_backoff_ms: 3_000,
         enable_chaos_ops: true,
-        // A cache hit would answer inline and dodge the dead pool.
+        // A cache hit would answer before the classification path.
         response_cache: 0,
         ..ServeConfig::default()
     }
 }
 
-/// Kill the daemon's only worker and wait until the pool reports zero
-/// alive (the restart backoff keeps it dead afterwards).
-fn kill_only_worker(addr: &str, reader: &mut BufReader<TcpStream>, w: &mut TcpStream) {
+/// Panic one classification on the daemon's only loop: it answers `500`
+/// and the loop is still alive afterwards.
+fn panic_one_request(addr: &str, reader: &mut BufReader<TcpStream>, w: &mut TcpStream) {
     w.write_all(b"{\"op\":\"chaos_panic\",\"id\":\"kill\"}\n")
         .expect("send chaos_panic");
     let mut resp = String::new();
     reader.read_line(&mut resp).expect("panic response");
     assert!(resp.contains("\"code\":500"), "unexpected: {resp}");
-    let deadline = Instant::now() + Duration::from_secs(5);
-    loop {
-        let mut stats_conn = TcpStream::connect(addr).expect("stats connect");
-        stats_conn
-            .write_all(b"{\"op\":\"stats\",\"id\":\"s\"}\n")
-            .expect("send stats");
-        let mut stats = String::new();
-        BufReader::new(&stats_conn)
-            .read_line(&mut stats)
-            .expect("stats response");
-        if stats.contains("\"workers_alive\":0") {
-            break;
-        }
-        assert!(Instant::now() < deadline, "worker never died: {stats}");
-        std::thread::sleep(Duration::from_millis(10));
-    }
-}
-
-#[test]
-fn deadline_408_fires_with_zero_workers_alive() {
-    let (validator, lines) = corpus();
-    let handle = server::start(dead_worker_config(), Arc::new(validator)).expect("start daemon");
-    let addr = handle.addr().to_string();
-
-    let stream = TcpStream::connect(&addr).expect("connect");
-    stream
-        .set_read_timeout(Some(Duration::from_secs(10)))
-        .expect("read timeout");
-    let mut w = stream.try_clone().expect("clone");
-    let mut reader = BufReader::new(stream);
-    kill_only_worker(&addr, &mut reader, &mut w);
-
-    // With the pool dead, a classify request can only be answered by
-    // the deadline timer.
-    let t0 = Instant::now();
-    w.write_all(lines[0].as_bytes()).expect("send classify");
-    w.write_all(b"\n").expect("send newline");
-    let mut resp = String::new();
-    reader.read_line(&mut resp).expect("deadline response");
-    assert!(
-        resp.contains("\"code\":408"),
-        "expected a 408 deadline, got: {resp}"
-    );
-    assert!(
-        t0.elapsed() < Duration::from_secs(3),
-        "deadline took {:?}",
-        t0.elapsed()
-    );
-
-    handle.shutdown();
-    handle.wait();
+    let mut stats_conn = TcpStream::connect(addr).expect("stats connect");
+    stats_conn
+        .write_all(b"{\"op\":\"stats\",\"id\":\"s\"}\n")
+        .expect("send stats");
+    let mut stats = String::new();
+    BufReader::new(&stats_conn)
+        .read_line(&mut stats)
+        .expect("stats response");
+    assert!(stats.contains("\"workers_alive\":1"), "loop died: {stats}");
 }
 
 #[test]
 fn slow_loris_cut_fires_with_zero_workers_alive() {
     let (validator, _) = corpus();
-    let handle = server::start(dead_worker_config(), Arc::new(validator)).expect("start daemon");
+    let handle = server::start(one_loop_config(), Arc::new(validator)).expect("start daemon");
     let addr = handle.addr().to_string();
 
     let stream = TcpStream::connect(&addr).expect("connect");
@@ -264,7 +221,7 @@ fn slow_loris_cut_fires_with_zero_workers_alive() {
         .expect("read timeout");
     let mut w = stream.try_clone().expect("clone");
     let mut reader = BufReader::new(stream);
-    kill_only_worker(&addr, &mut reader, &mut w);
+    panic_one_request(&addr, &mut reader, &mut w);
 
     // A partial frame that never completes: the loop's timer wheel must
     // cut the connection after `read_timeout_ms` on its own.
@@ -308,4 +265,74 @@ fn slow_loris_cut_fires_with_zero_workers_alive() {
 
     handle.shutdown();
     handle.wait();
+}
+
+/// Four loops share one port. Each of 64 connections is owned by the
+/// loop that accepted it, and the loops' fd gauges sum to every
+/// connection plus one listener clone and one waker per loop. The
+/// connections spread over the loops: one after another they go round
+/// the idle loops, so every loop holds at least half its fair share
+/// (without the rotation the first loop took all 64). The drain closes
+/// the port once every loop has dropped its clone.
+#[test]
+fn four_loops_share_one_port_and_the_drain_closes_it() {
+    let (validator, lines) = corpus();
+    let loops = 4;
+    let handle = server::start(
+        ServeConfig {
+            workers: loops,
+            ..ServeConfig::default()
+        },
+        Arc::new(validator),
+    )
+    .expect("start daemon");
+    let addr = handle.addr();
+
+    let open: Vec<BufReader<TcpStream>> = (0..64)
+        .map(|_| {
+            let mut stream = TcpStream::connect(addr).expect("connect");
+            stream
+                .set_read_timeout(Some(Duration::from_secs(10)))
+                .expect("read timeout");
+            stream
+                .write_all(format!("{}\n", lines[0]).as_bytes())
+                .expect("send classify");
+            let mut reader = BufReader::new(stream);
+            let mut resp = String::new();
+            reader.read_line(&mut resp).expect("classify response");
+            assert!(resp.contains("\"code\":200"), "classify failed: {resp}");
+            reader
+        })
+        .collect();
+    let snap = handle.metrics_snapshot();
+    assert_eq!(
+        snap.get("silentcert_serve_event_loop_registered_fds"),
+        Some(&SeriesValue::Gauge(open.len() as i64 + 2 * loops as i64)),
+        "registered fds across {loops} loops"
+    );
+    let held: Vec<i64> = (0..loops)
+        .map(|i| {
+            let key = format!("silentcert_serve_event_loop_connections{{loop=\"{i}\"}}");
+            match snap.get(&key) {
+                Some(SeriesValue::Gauge(n)) => *n,
+                other => panic!("{key}: {other:?}"),
+            }
+        })
+        .collect();
+    assert_eq!(held.iter().sum::<i64>(), open.len() as i64, "{held:?}");
+    let fair = open.len() as i64 / loops as i64;
+    assert!(
+        held.iter().all(|&n| 2 * n >= fair),
+        "connections per loop {held:?}: a loop holds under half of {fair}"
+    );
+
+    handle.shutdown();
+    assert!(handle.wait().clean);
+    let refused = TcpStream::connect(addr).map_err(|e| e.kind());
+    assert_eq!(
+        refused.err(),
+        Some(ErrorKind::ConnectionRefused),
+        "the port outlived the drain"
+    );
+    drop(open);
 }

@@ -2,16 +2,17 @@
 //!
 //! Drives a live daemon over real sockets with the chaos loadgen —
 //! malformed frames, oversize frames, mid-frame disconnects, and
-//! injected worker panics — and asserts the supervision story holds:
-//! the daemon sheds rather than collapses, restarts every panicked
-//! worker, keeps answering `health` throughout, drains cleanly on
-//! shutdown, and leaves a journal that replays to byte-identical
-//! classification results.
+//! injected classification panics — and asserts the isolation story
+//! holds: the daemon sheds rather than collapses, answers each panic
+//! `500` and journals it while every loop keeps serving, keeps
+//! answering `health` throughout, drains cleanly on shutdown, and
+//! leaves a journal that replays to byte-identical classification
+//! results.
 
 use silentcert_crypto::hex::encode as hex;
 use silentcert_crypto::sig::{KeyPair, SimKeyPair};
 use silentcert_serve::loadgen::{self, ClientFaultPlan, LoadgenOptions};
-use silentcert_serve::{journal, server, BreakerConfig, ServeConfig};
+use silentcert_serve::{journal, server, BreakerConfig, ServeConfig, PANIC_RESULT};
 use silentcert_validate::{TrustStore, Validator};
 use silentcert_x509::{Certificate, CertificateBuilder, Name, Time};
 use std::io::{BufRead, BufReader, Write};
@@ -135,9 +136,7 @@ fn daemon_survives_chaos_and_drains_to_a_replayable_journal() {
 
     let config = ServeConfig {
         workers: 3,
-        queue_capacity: 64,
         read_timeout_ms: 200, // fast slow-loris detection for the test
-        deadline_ms: 2_000,
         journal_path: Some(journal_path.clone()),
         enable_chaos_ops: true,
         breaker: BreakerConfig {
@@ -183,20 +182,20 @@ fn daemon_survives_chaos_and_drains_to_a_replayable_journal() {
     let resp = send_line(&addr, r#"{"op":"health","id":"h1"}"#).expect("health after chaos");
     assert!(resp.contains("\"code\":200"), "health after chaos: {resp}");
 
-    // Stats confirm supervision: every panic produces a restart (the
-    // supervisor applies jittered backoff first, so poll briefly).
+    // Stats confirm isolation: the panics were counted and every loop
+    // is still running.
     let deadline = std::time::Instant::now() + Duration::from_secs(10);
     loop {
         let stats = send_line(&addr, r#"{"op":"stats","id":"st"}"#).expect("stats");
         let v = silentcert_serve::json::parse(stats.trim()).expect("stats parses");
         let get = |k: &str| v.get(k).and_then(|x| x.as_f64()).unwrap_or(-1.0);
         assert!(get("worker_panics") >= 1.0, "panics recorded: {stats}");
-        if get("worker_restarts") >= get("worker_panics") && get("workers_alive") >= 3.0 {
+        if get("worker_panics") >= 1.0 && get("workers_alive") == 3.0 {
             break;
         }
         assert!(
             std::time::Instant::now() < deadline,
-            "supervisor never caught up with restarts: {stats}"
+            "a loop stopped serving: {stats}"
         );
         std::thread::sleep(Duration::from_millis(50));
     }
@@ -204,8 +203,13 @@ fn daemon_survives_chaos_and_drains_to_a_replayable_journal() {
     handle.shutdown();
     let summary = handle.wait();
     assert!(summary.clean, "drain should be clean: {summary:?}");
-    assert_eq!(summary.force_shed, 0);
-    assert!(summary.worker_restarts >= summary.worker_panics);
+    let panics = journal::read_journal(&journal_path)
+        .expect("journal readable")
+        .entries
+        .iter()
+        .filter(|e| e.result == PANIC_RESULT)
+        .count();
+    assert_eq!(panics as u64, report.code_500, "every 500 journaled");
     assert!(summary.journal_entries > 0, "journal captured the run");
 
     // The journal replays byte-identically against a fresh validator.
@@ -262,6 +266,10 @@ fn slow_loris_stalls_overlap_on_one_connection() {
     assert!(
         report.elapsed_ms < 2 * stall_ms,
         "stalls ran one after another: {report:?}"
+    );
+    assert!(
+        report.elapsed_ms < stall_ms,
+        "elapsed_ms counted the hold tail: {report:?}"
     );
     let faults = report.faults_slow_loris
         + report.faults_disconnect
@@ -346,11 +354,10 @@ fn chaos_loadgen_yields_parseable_prometheus_metrics() {
     let p = pki();
     let config = ServeConfig {
         workers: 1,
-        queue_capacity: 2, // force queue_full sheds under 8 connections
-        deadline_ms: 2_000,
-        enable_chaos_ops: false,
+        enable_chaos_ops: true,
         breaker: BreakerConfig {
-            max_error_rate: 0.95, // sheds are 503s, not breaker trips
+            // Chaos panics trip the breaker, which then sheds `503`s.
+            max_error_rate: 0.05,
             ..BreakerConfig::default()
         },
         ..ServeConfig::default()
@@ -363,7 +370,7 @@ fn chaos_loadgen_yields_parseable_prometheus_metrics() {
     .expect("bind");
     let addr = handle.addr().to_string();
 
-    let requests = request_mix(&p, false);
+    let requests = request_mix(&p, true);
     let report = loadgen::run(
         &LoadgenOptions {
             addr: addr.clone(),
@@ -377,7 +384,7 @@ fn chaos_loadgen_yields_parseable_prometheus_metrics() {
         },
         &requests,
     );
-    assert!(report.code_503 > 0, "tiny queue never shed: {report:?}");
+    assert!(report.code_503 > 0, "breaker never shed: {report:?}");
     assert!(report.code_200 > 0, "{report:?}");
 
     // The loadgen report folded the daemon's JSON snapshot in.
@@ -385,9 +392,9 @@ fn chaos_loadgen_yields_parseable_prometheus_metrics() {
     let snap = silentcert_serve::json::parse(folded).expect("snapshot parses");
     for key in [
         "silentcert_serve_queue_depth",
-        "silentcert_serve_queue_capacity",
+        "silentcert_serve_workers_alive",
         "silentcert_serve_accepted_total",
-        "silentcert_serve_deadline_expired_total",
+        "silentcert_serve_slow_loris_closed_total",
         "silentcert_serve_worker_panics_total",
         "silentcert_serve_breaker_state",
         "silentcert_serve_breaker_transitions_total{to=\"open\"}",
@@ -445,8 +452,6 @@ fn drain_sheds_backlog_at_deadline_instead_of_hanging() {
     let p = pki();
     let config = ServeConfig {
         workers: 1,
-        queue_capacity: 8,
-        deadline_ms: 300,
         drain_deadline_ms: 400,
         enable_chaos_ops: false,
         ..ServeConfig::default()
@@ -500,4 +505,88 @@ fn first_health_counts_every_worker() {
         handle.shutdown();
         assert!(handle.wait().clean);
     }
+}
+
+/// A panic stays on its request: on one pipelined connection each
+/// `chaos_panic` is answered `500` between two served classifications,
+/// no loop dies, and the journal holds the four requests in order with
+/// each panic in its own place.
+#[test]
+fn a_panic_stays_on_its_request() {
+    let p = pki();
+    let journal_path =
+        std::env::temp_dir().join(format!("silentcert-panic-journal-{}", std::process::id()));
+    let _ = std::fs::remove_file(&journal_path);
+    let make_validator = || {
+        let mut v = Validator::new(TrustStore::from_roots([p.root.clone()]));
+        v.add_intermediate(&p.intermediate);
+        Arc::new(v)
+    };
+    let config = ServeConfig {
+        workers: 2,
+        enable_chaos_ops: true,
+        journal_path: Some(journal_path.clone()),
+        journal_write_through: true,
+        ..ServeConfig::default()
+    };
+    let handle = server::start(config, make_validator()).expect("bind");
+
+    let classify = request_mix(&p, false).swap_remove(0);
+    let panic = r#"{"op":"chaos_panic","id":"p"}"#;
+    let frames = [
+        &classify,
+        panic,
+        &classify,
+        panic,
+        r#"{"op":"health","id":"h"}"#,
+    ];
+    let mut stream = TcpStream::connect(handle.addr()).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("read timeout");
+    let pipelined: String = frames.iter().map(|f| format!("{f}\n")).collect();
+    stream.write_all(pipelined.as_bytes()).expect("pipeline");
+    let mut reader = BufReader::new(stream);
+    let answers: Vec<_> = frames
+        .iter()
+        .map(|_| {
+            let mut line = String::new();
+            reader.read_line(&mut line).expect("answer");
+            silentcert_serve::json::parse(line.trim()).expect("answer parses")
+        })
+        .collect();
+    let codes: Vec<_> = answers
+        .iter()
+        .map(|a| a.get("code").and_then(|c| c.as_f64()))
+        .collect();
+    let want = [200.0, 500.0, 200.0, 500.0, 200.0].map(Some);
+    assert_eq!(codes, want, "{answers:?}");
+    let alive = answers[4].get("workers_alive").and_then(|n| n.as_f64());
+    assert_eq!(alive, Some(2.0), "health after the panics");
+
+    handle.shutdown();
+    let summary = handle.wait();
+    assert!(summary.clean, "{summary:?}");
+    let readout = journal::read_journal(&journal_path).expect("journal readable");
+    let records: Vec<_> = readout
+        .entries
+        .iter()
+        .map(|e| (e.op.as_str(), e.result == PANIC_RESULT))
+        .collect();
+    assert_eq!(
+        records,
+        [
+            ("classify", false),
+            ("chaos_panic", true),
+            ("classify", false),
+            ("chaos_panic", true),
+        ]
+    );
+    assert!(
+        readout.entries.windows(2).all(|w| w[0].seq < w[1].seq),
+        "journal out of sequence order"
+    );
+    let replayed = journal::replay(&journal_path, &make_validator()).expect("journal replays");
+    assert_eq!(replayed.mismatches, 0, "replay must be byte-identical");
+    let _ = std::fs::remove_file(&journal_path);
 }
