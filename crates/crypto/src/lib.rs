@@ -5,6 +5,9 @@
 //!
 //! 1. **Hashing** — certificate fingerprints (SHA-256), subject key
 //!    identifiers (SHA-1), and deterministic derivation in the simulator.
+//!    SHA-256 compresses on the CPU's SHA extensions when a run-time check
+//!    finds them; the instructions come through `std::arch`, so this adds
+//!    no dependency.
 //! 2. **Real signatures** — RSA with PKCS#1 v1.5 padding, so that chain
 //!    signatures, self-signature checks (the paper's "manually verify the
 //!    certificate's signature with its own public key" step), and

@@ -1,4 +1,8 @@
 //! SHA-256 (FIPS 180-4), implemented from scratch.
+//!
+//! The compression runs on the CPU's SHA extensions when a run-time
+//! feature check finds them, and in portable code otherwise. The portable
+//! kernel is also the oracle the accelerated one is tested against.
 
 /// Digest size in bytes.
 pub const DIGEST_LEN: usize = 32;
@@ -52,41 +56,58 @@ impl Sha256 {
             self.buf[self.buf_len..self.buf_len + take].copy_from_slice(&data[..take]);
             self.buf_len += take;
             data = &data[take..];
-            if self.buf_len == 64 {
-                let block = self.buf;
-                self.compress(&block);
-                self.buf_len = 0;
+            if self.buf_len < 64 {
+                return;
             }
+            compress(&mut self.state, &self.buf);
+            self.buf_len = 0;
         }
-        while data.len() >= 64 {
-            let (block, rest) = data.split_at(64);
-            self.compress(block.try_into().expect("split_at(64)"));
-            data = rest;
+        let (blocks, rest) = data.split_at(data.len() - data.len() % 64);
+        if !blocks.is_empty() {
+            compress(&mut self.state, blocks);
         }
-        if !data.is_empty() {
-            self.buf[..data.len()].copy_from_slice(data);
-            self.buf_len = data.len();
-        }
+        self.buf[..rest.len()].copy_from_slice(rest);
+        self.buf_len = rest.len();
     }
 
     /// Finish and return the digest.
     pub fn finalize(mut self) -> [u8; DIGEST_LEN] {
-        let bit_len = self.total_len.wrapping_mul(8);
-        self.update(&[0x80]);
-        while self.buf_len != 56 {
-            self.total_len = self.total_len.wrapping_sub(1); // padding is not message
-            self.update(&[0x00]);
-        }
-        self.total_len = self.total_len.wrapping_sub(9); // 0x80 + 8 length bytes
-        self.update(&bit_len.to_be_bytes());
+        // The 0x80 marker and the 8-byte bit length follow the buffered
+        // tail: in one block if they fit beside it, in two if not.
+        let n = self.buf_len;
+        let mut pad = [0u8; 128];
+        pad[..n].copy_from_slice(&self.buf[..n]);
+        pad[n] = 0x80;
+        let end = if n < 56 { 64 } else { 128 };
+        pad[end - 8..end].copy_from_slice(&self.total_len.wrapping_mul(8).to_be_bytes());
+        compress(&mut self.state, &pad[..end]);
         let mut out = [0u8; DIGEST_LEN];
         for (i, word) in self.state.iter().enumerate() {
             out[i * 4..i * 4 + 4].copy_from_slice(&word.to_be_bytes());
         }
         out
     }
+}
 
-    fn compress(&mut self, block: &[u8; 64]) {
+/// Compress every whole 64-byte block of `blocks` into `state`, on the
+/// CPU's SHA extensions when it has them.
+fn compress(state: &mut [u32; 8], blocks: &[u8]) {
+    debug_assert_eq!(blocks.len() % 64, 0);
+    #[cfg(target_arch = "x86_64")]
+    if shani::available() {
+        // SAFETY: `shani::available()` just reported the sha, ssse3 and
+        // sse4.1 features `shani::compress` is compiled for; sse2 is part
+        // of x86_64.
+        unsafe { shani::compress(state, blocks) };
+        return;
+    }
+    compress_portable(state, blocks);
+}
+
+/// The compression in portable code: the only kernel on CPUs without the
+/// SHA extensions and on other targets, and the oracle for the other one.
+fn compress_portable(state: &mut [u32; 8], blocks: &[u8]) {
+    for block in blocks.chunks_exact(64) {
         let mut w = [0u32; 64];
         for (i, chunk) in block.chunks_exact(4).enumerate() {
             w[i] = u32::from_be_bytes(chunk.try_into().expect("chunks_exact(4)"));
@@ -99,7 +120,7 @@ impl Sha256 {
                 .wrapping_add(w[i - 7])
                 .wrapping_add(s1);
         }
-        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = self.state;
+        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
         for i in 0..64 {
             let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
             let ch = (e & f) ^ (!e & g);
@@ -120,9 +141,78 @@ impl Sha256 {
             b = a;
             a = t1.wrapping_add(t2);
         }
-        for (s, v) in self.state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
+        for (s, v) in state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
             *s = s.wrapping_add(v);
         }
+    }
+}
+
+/// The compression on the x86 SHA extensions: `sha256rnds2` runs two
+/// rounds, `sha256msg1` and `sha256msg2` extend the message schedule.
+#[cfg(target_arch = "x86_64")]
+mod shani {
+    use super::K;
+    use std::arch::x86_64::*;
+
+    /// Whether this CPU has every feature [`compress`] is compiled for.
+    /// std caches the CPUID answer, so this is a few loads.
+    pub(super) fn available() -> bool {
+        is_x86_feature_detected!("sha")
+            && is_x86_feature_detected!("ssse3")
+            && is_x86_feature_detected!("sse4.1")
+    }
+
+    /// Compress every whole 64-byte block of `blocks` into `state`.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support `sha`, `sse2`, `ssse3` and `sse4.1`, as
+    /// [`available`] reports. The unaligned loads and stores stay inside
+    /// `state` (8 words), `K` (64 words) and each 64-byte chunk.
+    #[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
+    pub(super) unsafe fn compress(state: &mut [u32; 8], blocks: &[u8]) {
+        // Byte-swaps each 32-bit lane: message words are big-endian.
+        let bswap = _mm_set_epi64x(0x0c0d_0e0f_0809_0a0b, 0x0405_0607_0001_0203);
+        // The round instruction takes the state as ABEF and CDGH.
+        let dcba = _mm_loadu_si128(state.as_ptr().cast());
+        let hgfe = _mm_loadu_si128(state.as_ptr().add(4).cast());
+        let cdab = _mm_shuffle_epi32(dcba, 0xb1);
+        let efgh = _mm_shuffle_epi32(hgfe, 0x1b);
+        let mut abef = _mm_alignr_epi8(cdab, efgh, 8);
+        let mut cdgh = _mm_blend_epi16(efgh, cdab, 0xf0);
+
+        for block in blocks.chunks_exact(64) {
+            let (abef_in, cdgh_in) = (abef, cdgh);
+            let p = block.as_ptr();
+            let mut w0 = _mm_shuffle_epi8(_mm_loadu_si128(p.cast()), bswap);
+            let mut w1 = _mm_shuffle_epi8(_mm_loadu_si128(p.add(16).cast()), bswap);
+            let mut w2 = _mm_shuffle_epi8(_mm_loadu_si128(p.add(32).cast()), bswap);
+            let mut w3 = _mm_shuffle_epi8(_mm_loadu_si128(p.add(48).cast()), bswap);
+            // Sixteen groups of four rounds. `w0` holds the group's four
+            // message words; the first twelve groups derive the words
+            // four groups ahead.
+            for i in 0..16 {
+                let wk = _mm_add_epi32(w0, _mm_loadu_si128(K.as_ptr().add(4 * i).cast()));
+                cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
+                abef = _mm_sha256rnds2_epu32(abef, cdgh, _mm_shuffle_epi32(wk, 0x0e));
+                if i < 12 {
+                    let t = _mm_add_epi32(_mm_sha256msg1_epu32(w0, w1), _mm_alignr_epi8(w3, w2, 4));
+                    (w0, w1, w2, w3) = (w1, w2, w3, _mm_sha256msg2_epu32(t, w3));
+                } else {
+                    (w0, w1, w2) = (w1, w2, w3);
+                }
+            }
+            abef = _mm_add_epi32(abef, abef_in);
+            cdgh = _mm_add_epi32(cdgh, cdgh_in);
+        }
+
+        let feba = _mm_shuffle_epi32(abef, 0x1b);
+        let dchg = _mm_shuffle_epi32(cdgh, 0xb1);
+        _mm_storeu_si128(state.as_mut_ptr().cast(), _mm_blend_epi16(feba, dchg, 0xf0));
+        _mm_storeu_si128(
+            state.as_mut_ptr().add(4).cast(),
+            _mm_alignr_epi8(dchg, feba, 8),
+        );
     }
 }
 
@@ -178,15 +268,70 @@ mod tests {
         );
     }
 
+    /// SHA-256 with the padding written out as FIPS 180-4 §5.1.1 states
+    /// it, over the portable kernel: an oracle for `update`'s buffering
+    /// and `finalize`'s one-block padding.
+    fn textbook_sha256(data: &[u8]) -> [u8; DIGEST_LEN] {
+        let mut msg = data.to_vec();
+        msg.push(0x80);
+        while msg.len() % 64 != 56 {
+            msg.push(0);
+        }
+        msg.extend_from_slice(&(data.len() as u64 * 8).to_be_bytes());
+        let mut state = H0;
+        compress_portable(&mut state, &msg);
+        let mut out = [0u8; DIGEST_LEN];
+        for (o, w) in out.chunks_exact_mut(4).zip(state) {
+            o.copy_from_slice(&w.to_be_bytes());
+        }
+        out
+    }
+
     #[test]
     fn incremental_matches_oneshot() {
-        let data: Vec<u8> = (0..=255u16).flat_map(|i| (i as u8).to_be_bytes()).collect();
-        for split in [0, 1, 55, 56, 63, 64, 65, 128, 200] {
-            let mut h = Sha256::new();
-            h.update(&data[..split]);
-            h.update(&data[split..]);
-            assert_eq!(h.finalize(), sha256(&data), "split at {split}");
+        let data: Vec<u8> = (0..=300u32).map(|i| (i * 7 + 3) as u8).collect();
+        for len in 0..=300 {
+            let msg = &data[..len];
+            let oneshot = sha256(msg);
+            assert_eq!(oneshot, textbook_sha256(msg), "length {len}");
+            for split in [0, 1, 55, 56, 63, 64, 65, len / 2, len] {
+                let split = split.min(len);
+                let mut h = Sha256::new();
+                h.update(&msg[..split]);
+                h.update(&msg[split..]);
+                assert_eq!(h.finalize(), oneshot, "length {len} split at {split}");
+            }
         }
+    }
+
+    /// The accelerated kernel against the portable one, on seeded random
+    /// states and inputs of one to four blocks. It prints which kernels it
+    /// checked, so `--nocapture` tells which one a host runs.
+    #[test]
+    fn kernels_agree() {
+        #[cfg(target_arch = "x86_64")]
+        if shani::available() {
+            use crate::entropy::{EntropySource, XorShift64};
+            let mut rng = XorShift64::new(0x5348_4132_3536);
+            for pair in 0..1000 {
+                let mut state = [0u32; 8];
+                for word in &mut state {
+                    *word = rng.next_u64() as u32;
+                }
+                let mut blocks = vec![0u8; 64 * (1 + pair % 4)];
+                rng.fill_bytes(&mut blocks);
+                let mut portable = state;
+                compress_portable(&mut portable, &blocks);
+                let mut accelerated = state;
+                // SAFETY: `shani::available()` reported the features
+                // `shani::compress` is compiled for.
+                unsafe { shani::compress(&mut accelerated, &blocks) };
+                assert_eq!(accelerated, portable, "pair {pair}");
+            }
+            println!("SHA extensions: accelerated kernel agrees with portable on 1000 pairs");
+            return;
+        }
+        println!("no SHA extensions: accelerated kernel not tested");
     }
 
     #[test]

@@ -32,8 +32,9 @@ pub fn store(dir: &Path, case: &FuzzCase) -> std::io::Result<(PathBuf, bool)> {
 
 /// Load every `*.case` file in `dir`, sorted by filename so replay order
 /// is stable. A missing directory is an empty corpus; an unparseable case
-/// file is an error (the corpus is committed — damage means a bad commit,
-/// not noise to skip).
+/// file, or one not named `<case.id()>.case` as [`store`] names it, is an
+/// error (the corpus is committed — damage, a hand edit or a rename means
+/// a bad commit, not noise to skip).
 pub fn load(dir: &Path) -> Result<Vec<(PathBuf, FuzzCase)>, String> {
     let mut paths = Vec::new();
     match std::fs::read_dir(dir) {
@@ -56,6 +57,13 @@ pub fn load(dir: &Path) -> Result<Vec<(PathBuf, FuzzCase)>, String> {
             .map_err(|e| format!("reading {}: {e}", path.display()))?;
         let case =
             FuzzCase::from_text(&text).map_err(|e| format!("parsing {}: {e}", path.display()))?;
+        let id = case.id();
+        if path.file_stem().and_then(|s| s.to_str()) != Some(id.as_str()) {
+            return Err(format!(
+                "{} is not named by its content address {id}.case",
+                path.display()
+            ));
+        }
         out.push((path, case));
     }
     Ok(out)
@@ -97,6 +105,25 @@ mod tests {
             })
             .collect();
         assert!(stray.is_empty());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn edited_or_renamed_case_is_rejected() {
+        let dir =
+            std::env::temp_dir().join(format!("silentcert-corpus-edit-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let (path, _) = store(&dir, &FuzzCase::bare(vec![0x30, 0x03])).expect("store");
+        assert_eq!(load(&dir).expect("stored case loads").len(), 1);
+
+        let text = std::fs::read_to_string(&path).unwrap();
+        std::fs::write(&path, text.replace("leaf 3003", "leaf 3004")).unwrap();
+        let err = load(&dir).expect_err("edited case loads");
+        assert!(err.contains("content address"), "{err}");
+
+        std::fs::write(&path, text).unwrap();
+        std::fs::rename(&path, dir.join(format!("{}.case", "0".repeat(64)))).unwrap();
+        assert!(load(&dir).is_err(), "renamed case loads");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -2,8 +2,10 @@
 //! disk and written out again must reproduce the original table files
 //! byte-for-byte. This is what makes the scan runtime's checkpoint story
 //! sound — any tool in the chain can re-materialize the corpus without
-//! perturbing it.
+//! perturbing it. The exported bytes themselves are pinned across commits
+//! by golden digests.
 
+use silentcert::crypto::{hex, sha256};
 use silentcert::sim::{export_corpus, export_tables, ScaleConfig};
 use silentcert::validate::{TrustStore, Validator};
 use silentcert::x509::pem::pem_decode_all;
@@ -33,7 +35,29 @@ fn ingested_corpus_re_exports_byte_identically() {
     config.umich_scans = 5;
     config.rapid7_scans = 3;
     config.overlap_days = 1;
+    // One RSA CA puts RSA keygen and RSA signatures into the export.
+    config.rsa_ca_count = 1;
     export_corpus(&config, &dir).expect("export");
+    // The corpus bytes, pinned across commits (the round trip below only
+    // compares two runs of one build): coreutils `sha256sum` of the files.
+    // Change them only in a change that means to move corpus bytes.
+    for (f, golden) in [
+        (
+            "certs.pem",
+            "6f393fa5e5d9d47d33143739a43b5a62bb1677ddd273dfe31a0b916c077270e8",
+        ),
+        (
+            "scans.csv",
+            "f5449d93e949d351dc0d629dd1ef3db467119dcd672708132700f79a757a453b",
+        ),
+        (
+            "roots.pem",
+            "fe83de7a0ebd22ec444a657d75588af2145dabf7471a2e61e3efe93114d17fa7",
+        ),
+    ] {
+        let digest = hex::encode(&sha256(&fs::read(dir.join(f)).unwrap()));
+        assert_eq!(digest, golden, "{f} bytes moved");
+    }
 
     let mut validator = validator_from(&dir);
     let ingested = silentcert::core::ingest::load_dataset(&dir, &mut validator).expect("ingest");
