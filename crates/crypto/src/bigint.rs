@@ -1,12 +1,21 @@
 //! Arbitrary-precision unsigned integers.
 //!
-//! Little-endian `u32` limbs with `u64` intermediates. Implements the
-//! operations RSA needs: addition, subtraction, schoolbook multiplication,
-//! Knuth Algorithm D division, left/right shifts, modular exponentiation,
-//! GCD, and modular inverse via the extended Euclidean algorithm.
+//! [`BigUint`] keeps little-endian `u32` limbs with `u64` intermediates and
+//! implements the operations RSA needs: addition, subtraction, schoolbook
+//! multiplication, Knuth Algorithm D division, left/right shifts, modular
+//! exponentiation, GCD, and modular inverse via the extended Euclidean
+//! algorithm. Values are always normalized: no trailing zero limbs, and
+//! zero is the empty limb vector.
 //!
-//! Values are always normalized: no trailing zero limbs, and zero is the
-//! empty limb vector.
+//! Modular exponentiation by an odd modulus runs on `Montgomery`, one
+//! kernel generic over a compile-time count of 64-bit limbs: a multiply
+//! and a dedicated squaring, each a schoolbook product followed by one
+//! Montgomery reduction, at widths of 1, 2, 4, 8, 16, 32, 48, 64, 128 and
+//! 256 limbs. The modulus's limb count picks the width, so the 256- to
+//! 4096-bit RSA sizes run unpadded and any other size up to
+//! [`MONTGOMERY_MAX_BITS`] runs zero-padded to the next width. Even and
+//! wider moduli take [`BigUint::modpow_legacy`], which is also the oracle
+//! the kernel is tested against.
 
 use std::cmp::Ordering;
 use std::fmt;
@@ -343,6 +352,17 @@ impl BigUint {
         (quotient, BigUint::from_u64(rem))
     }
 
+    /// `self % d` for a single-limb `d`. Panics if `d` is zero.
+    pub(crate) fn rem_u32(&self, d: u32) -> u32 {
+        let d = u64::from(d);
+        let r = self
+            .limbs
+            .iter()
+            .rev()
+            .fold(0, |r, &l| ((r << 32) | u64::from(l)) % d);
+        r as u32
+    }
+
     /// `self % modulus`.
     pub fn rem(&self, modulus: &BigUint) -> BigUint {
         self.div_rem(modulus).1
@@ -350,30 +370,37 @@ impl BigUint {
 
     /// `self^exp mod modulus`.
     ///
-    /// Odd moduli take the Montgomery-multiplication path with 4-bit windowed
-    /// exponentiation; even moduli (where Montgomery reduction does not
-    /// apply) fall back to [`modpow_legacy`](Self::modpow_legacy). Both paths
-    /// return identical values for identical inputs.
+    /// Odd moduli up to [`MONTGOMERY_MAX_BITS`] run on the fixed-width
+    /// Montgomery kernel; even moduli (where Montgomery reduction does not
+    /// apply) and wider ones take [`modpow_legacy`](Self::modpow_legacy).
+    /// Both paths return identical values for identical inputs.
     ///
     /// Panics if `modulus` is zero.
     pub fn modpow(&self, exp: &BigUint, modulus: &BigUint) -> BigUint {
-        if modulus.is_even() {
+        if modulus.is_even() || modulus == &BigUint::one() {
             return self.modpow_legacy(exp, modulus);
-        }
-        if modulus == &BigUint::one() {
-            return BigUint::zero();
         }
         if exp.is_zero() {
             return BigUint::one();
         }
-        MontgomeryCtx::new(modulus).modpow(&self.rem(modulus), exp)
+        with_width!(modulus.bit_len().div_ceil(64), N => {
+            let ctx = Montgomery::<N>::new(modulus);
+            let base = if self.limbs.len() > 2 * N {
+                ctx.enter(&self.rem(modulus))
+            } else {
+                ctx.enter(self)
+            };
+            ctx.leave(&ctx.pow(&base, exp))
+        })
+        .unwrap_or_else(|| self.modpow_legacy(exp, modulus))
     }
 
     /// `self^exp mod modulus` by plain square-and-multiply (left-to-right)
     /// with a full `div_rem` reduction per step.
     ///
-    /// Retained as the even-modulus path and as the oracle the Montgomery
-    /// path is property-tested against.
+    /// Retained as the path for even moduli and for moduli wider than
+    /// [`MONTGOMERY_MAX_BITS`], and as the oracle the Montgomery path is
+    /// tested against.
     ///
     /// Panics if `modulus` is zero.
     pub fn modpow_legacy(&self, exp: &BigUint, modulus: &BigUint) -> BigUint {
@@ -449,34 +476,223 @@ impl BigUint {
     }
 }
 
-/// Montgomery-form arithmetic for a fixed odd modulus.
+/// Widest modulus, in bits, that [`BigUint::modpow`] runs on the Montgomery
+/// kernel; wider odd moduli take [`BigUint::modpow_legacy`].
+pub const MONTGOMERY_MAX_BITS: usize = 16_384;
+
+/// Evaluate `$body` with the const `$n` set to the Montgomery kernel width,
+/// in 64-bit limbs, for a modulus of `$limbs` 64-bit limbs: `Some` of the
+/// body, or `None` above [`MONTGOMERY_MAX_BITS`].
 ///
-/// Values are `k`-limb little-endian **64-bit** slices (the public
-/// `BigUint` limbs are 32-bit; conversion happens at the boundary so the
-/// hot loop runs half as many iterations, each a 64×64→128 multiply).
-/// `mont_mul` is a CIOS (coarsely integrated operand scanning)
-/// multiply-and-reduce that replaces the full `div_rem` per step of the
-/// legacy path with one interleaved reduction pass.
-struct MontgomeryCtx {
-    /// Modulus limbs (length `k`, top limb nonzero).
-    n: Vec<u64>,
+/// 256-, 512-, 1024-, 2048-, 3072- and 4096-bit moduli fill their width
+/// exactly; any other size runs zero-padded to the next width up, where the
+/// same arithmetic holds because `R = 2^(64N)` only has to exceed the
+/// modulus.
+macro_rules! with_width {
+    ($limbs:expr, $n:ident => $body:expr) => {
+        $crate::bigint::with_width!(@match $limbs, $n, $body;
+            1 => 0..=1, 2 => 2, 4 => 3..=4, 8 => 5..=8, 16 => 9..=16, 32 => 17..=32,
+            48 => 33..=48, 64 => 49..=64, 128 => 65..=128, 256 => 129..=256)
+    };
+    (@match $limbs:expr, $n:ident, $body:expr; $($width:literal => $range:pat),*) => {
+        match $limbs {
+            $($range => {
+                const $n: usize = $width;
+                Some($body)
+            })*
+            _ => None,
+        }
+    };
+}
+pub(crate) use with_width;
+
+/// Montgomery arithmetic modulo a fixed odd `n > 1`, at a compile-time
+/// width of `N` 64-bit limbs (`R = 2^(64N)`); pick `N` with
+/// [`with_width!`].
+///
+/// A residue is `[u64; N]`, little-endian, in Montgomery form (`xR mod n`)
+/// and always fully reduced, so equal residues have equal limbs. Every
+/// loop bound is `N`, so each width compiles to its own kernel with no
+/// bounds checks in the inner loops.
+pub(crate) struct Montgomery<const N: usize> {
+    n: [u64; N],
     /// `-n^{-1} mod 2^64`.
     n0inv: u64,
-    /// `R^2 mod n` where `R = 2^(64k)`, padded to `k` limbs.
-    rr: Vec<u64>,
+    /// `R^2 mod n`: multiplying by it enters Montgomery form.
+    rr: [u64; N],
 }
 
-/// Pack 32-bit `BigUint` limbs into `k` 64-bit limbs.
-fn pack64(limbs: &[u32], k: usize) -> Vec<u64> {
-    let mut out = vec![0u64; k];
-    for (i, &l) in limbs.iter().enumerate() {
+/// `a + b * c + carry` as (low, high) words; cannot overflow.
+#[inline(always)]
+fn mac(a: u64, b: u64, c: u64, carry: u64) -> (u64, u64) {
+    let t = u128::from(a) + u128::from(b) * u128::from(c) + u128::from(carry);
+    (t as u64, (t >> 64) as u64)
+}
+
+/// `a + b + carry` as (sum, carry out).
+#[inline(always)]
+fn adc(a: u64, b: u64, carry: u64) -> (u64, u64) {
+    let t = u128::from(a) + u128::from(b) + u128::from(carry);
+    (t as u64, (t >> 64) as u64)
+}
+
+impl<const N: usize> Montgomery<N> {
+    /// Context for an odd `modulus > 1` of at most `N` 64-bit limbs.
+    pub(crate) fn new(modulus: &BigUint) -> Self {
+        assert!(
+            !modulus.is_even() && modulus.limbs.len() <= 2 * N,
+            "Montgomery modulus must be odd and fit {N} limbs"
+        );
+        let n = pack(modulus);
+        // Invert the low limb mod 2^64 by Newton's iteration (doubles the
+        // number of correct low bits each round: 1 → 2 → 4 → … → 64).
+        let mut inv: u64 = 1;
+        for _ in 0..6 {
+            inv = inv.wrapping_mul(2u64.wrapping_sub(n[0].wrapping_mul(inv)));
+        }
+        let rr = pack(&BigUint::one().shl(128 * N).rem(modulus));
+        Montgomery {
+            n,
+            n0inv: inv.wrapping_neg(),
+            rr,
+        }
+    }
+
+    /// `x` in Montgomery form. `x` must fit in `N` limbs; it need not be
+    /// below `n`.
+    pub(crate) fn enter(&self, x: &BigUint) -> [u64; N] {
+        self.mul(&self.rr, &pack(x))
+    }
+
+    /// Leave Montgomery form.
+    pub(crate) fn leave(&self, x: &[u64; N]) -> BigUint {
+        let mut wide = [[0u64; N]; 2];
+        wide[0] = *x;
+        unpack(&self.redc(wide.as_flattened_mut()))
+    }
+
+    /// `a * b * R^{-1} mod n`. One operand must be below `n`, the other
+    /// below `R`.
+    fn mul(&self, a: &[u64; N], b: &[u64; N]) -> [u64; N] {
+        let mut wide = [[0u64; N]; 2];
+        let t = wide.as_flattened_mut();
+        for (i, &ai) in a.iter().enumerate() {
+            let mut carry = 0;
+            for (j, &bj) in b.iter().enumerate() {
+                (t[i + j], carry) = mac(t[i + j], ai, bj, carry);
+            }
+            t[i + N] = carry;
+        }
+        self.redc(t)
+    }
+
+    /// `a * a * R^{-1} mod n` for `a` below `n`: each cross product
+    /// `a[i] * a[j]` is formed once and doubled, so the product costs about
+    /// half of [`mul`](Self::mul)'s.
+    pub(crate) fn sqr(&self, a: &[u64; N]) -> [u64; N] {
+        let mut wide = [[0u64; N]; 2];
+        let t = wide.as_flattened_mut();
+        for i in 0..N {
+            let mut carry = 0;
+            for j in i + 1..N {
+                (t[i + j], carry) = mac(t[i + j], a[i], a[j], carry);
+            }
+            t[i + N] = carry;
+        }
+        // Double the cross products and add the squares on the diagonal.
+        let (mut shifted_out, mut carry) = (0, 0);
+        for (i, &ai) in a.iter().enumerate() {
+            let (lo, hi) = (t[2 * i], t[2 * i + 1]);
+            let (sq_lo, sq_hi) = mac(0, ai, ai, 0);
+            (t[2 * i], carry) = adc(lo << 1 | shifted_out, sq_lo, carry);
+            (t[2 * i + 1], carry) = adc(hi << 1 | lo >> 63, sq_hi, carry);
+            shifted_out = hi >> 63;
+        }
+        self.redc(t)
+    }
+
+    /// Montgomery reduction of the `2N`-limb `t < nR`: `t * R^{-1} mod n`.
+    fn redc(&self, t: &mut [u64]) -> [u64; N] {
+        let t = &mut t[..2 * N];
+        // Carry out of `t[i + N]` on the previous row, which lands on the
+        // next row's top limb.
+        let mut overflow = 0;
+        for i in 0..N {
+            let m = t[i].wrapping_mul(self.n0inv);
+            let mut carry = 0;
+            for (j, &nj) in self.n.iter().enumerate() {
+                (t[i + j], carry) = mac(t[i + j], m, nj, carry);
+            }
+            (t[i + N], overflow) = adc(t[i + N], carry, overflow);
+        }
+        // The value `t[N..] + overflow * R` is below `2n`: subtract `n`
+        // once if it is at least `n`.
+        let mut diff = [0u64; N];
+        let mut borrow = false;
+        for (j, (d, &nj)) in diff.iter_mut().zip(&self.n).enumerate() {
+            let (x, b1) = t[N + j].overflowing_sub(nj);
+            let (x, b2) = x.overflowing_sub(u64::from(borrow));
+            *d = x;
+            borrow = b1 || b2;
+        }
+        if overflow != 0 || !borrow {
+            diff
+        } else {
+            t[N..].try_into().expect("slice of N limbs")
+        }
+    }
+
+    /// `base^exp` in Montgomery form, for `base` in Montgomery form and a
+    /// nonzero `exp`. Long exponents use 4-bit fixed-window exponentiation;
+    /// short ones (RSA's `e = 65537`) use plain square-and-multiply, where
+    /// a 16-entry window table would cost more than it saves.
+    pub(crate) fn pow(&self, base: &[u64; N], exp: &BigUint) -> [u64; N] {
+        let bits = exp.bit_len();
+        assert!(bits > 0, "Montgomery pow with a zero exponent");
+        if bits <= 64 {
+            let mut acc = *base;
+            for i in (0..bits - 1).rev() {
+                acc = self.sqr(&acc);
+                if exp.bit(i) {
+                    acc = self.mul(&acc, base);
+                }
+            }
+            return acc;
+        }
+        // table[w] = base^w for window values 1..16 (entry 0 is unused:
+        // a zero window multiplies by nothing).
+        let mut table = [*base; 16];
+        for w in 2..16 {
+            table[w] = self.mul(&table[w - 1], base);
+        }
+        let window = |w: usize| (0..4).fold(0, |v, b| v | usize::from(exp.bit(4 * w + b)) << b);
+        let windows = bits.div_ceil(4);
+        let mut acc = table[window(windows - 1)];
+        for w in (0..windows - 1).rev() {
+            for _ in 0..4 {
+                acc = self.sqr(&acc);
+            }
+            let wv = window(w);
+            if wv != 0 {
+                acc = self.mul(&acc, &table[wv]);
+            }
+        }
+        acc
+    }
+}
+
+/// Pack 32-bit `BigUint` limbs into `N` 64-bit limbs. Panics if the value
+/// does not fit.
+fn pack<const N: usize>(x: &BigUint) -> [u64; N] {
+    let mut out = [0u64; N];
+    for (i, &l) in x.limbs.iter().enumerate() {
         out[i / 2] |= u64::from(l) << (32 * (i % 2));
     }
     out
 }
 
 /// Unpack 64-bit limbs back into a normalized `BigUint`.
-fn unpack64(limbs: &[u64]) -> BigUint {
+fn unpack(limbs: &[u64]) -> BigUint {
     let mut out = Vec::with_capacity(limbs.len() * 2);
     for &l in limbs {
         out.push(l as u32);
@@ -485,147 +701,6 @@ fn unpack64(limbs: &[u64]) -> BigUint {
     let mut r = BigUint { limbs: out };
     r.normalize();
     r
-}
-
-impl MontgomeryCtx {
-    fn new(modulus: &BigUint) -> MontgomeryCtx {
-        debug_assert!(!modulus.is_zero() && !modulus.is_even());
-        let k = modulus.limbs.len().div_ceil(2);
-        let n = pack64(&modulus.limbs, k);
-        // Invert the low limb mod 2^64 by Newton's iteration (doubles the
-        // number of correct low bits each round: 1 → 2 → 4 → … → 64).
-        let mut inv: u64 = 1;
-        for _ in 0..6 {
-            inv = inv.wrapping_mul(2u64.wrapping_sub(n[0].wrapping_mul(inv)));
-        }
-        let n0inv = inv.wrapping_neg();
-        let rr_big = BigUint::one().shl(128 * k).rem(modulus);
-        let rr = pack64(&rr_big.limbs, k);
-        MontgomeryCtx { n, n0inv, rr }
-    }
-
-    /// `out = a * b * R^{-1} mod n` (CIOS). `a`, `b`, and `out` are `k`
-    /// limbs (`a` and `b` may alias each other but not `out`); `t` is a
-    /// `k + 2` limb scratch accumulator.
-    fn mont_mul(&self, a: &[u64], b: &[u64], out: &mut [u64], t: &mut [u64]) {
-        let k = self.n.len();
-        let n = &self.n[..k];
-        let b = &b[..k];
-        let t = &mut t[..k + 2];
-        t.fill(0);
-        for &ai in &a[..k] {
-            let ai = u128::from(ai);
-            let mut carry: u128 = 0;
-            for j in 0..k {
-                let cur = u128::from(t[j]) + ai * u128::from(b[j]) + carry;
-                t[j] = cur as u64;
-                carry = cur >> 64;
-            }
-            let cur = u128::from(t[k]) + carry;
-            t[k] = cur as u64;
-            t[k + 1] = (cur >> 64) as u64;
-
-            let m = u128::from(t[0].wrapping_mul(self.n0inv));
-            let cur = u128::from(t[0]) + m * u128::from(n[0]);
-            let mut carry = cur >> 64;
-            for j in 1..k {
-                let cur = u128::from(t[j]) + m * u128::from(n[j]) + carry;
-                t[j - 1] = cur as u64;
-                carry = cur >> 64;
-            }
-            let cur = u128::from(t[k]) + carry;
-            t[k - 1] = cur as u64;
-            t[k] = t[k + 1] + (cur >> 64) as u64;
-            t[k + 1] = 0;
-        }
-        // Conditional final subtraction: the loop invariant keeps t < 2n.
-        let ge = t[k] != 0 || t[..k].iter().rev().cmp(n.iter().rev()) != Ordering::Less;
-        if ge {
-            let mut borrow = false;
-            for j in 0..k {
-                let (d1, b1) = t[j].overflowing_sub(n[j]);
-                let (d2, b2) = d1.overflowing_sub(u64::from(borrow));
-                out[j] = d2;
-                borrow = b1 || b2;
-            }
-        } else {
-            out.copy_from_slice(&t[..k]);
-        }
-    }
-
-    /// `base^exp mod n` in Montgomery form. Long exponents use 4-bit
-    /// fixed-window exponentiation; short ones (RSA's `e = 65537`,
-    /// Miller–Rabin small-witness powers) use plain square-and-multiply,
-    /// where a 16-entry window table would cost more than it saves.
-    /// `base` must already be reduced mod `n`; `exp` must be nonzero.
-    fn modpow(&self, base: &BigUint, exp: &BigUint) -> BigUint {
-        let k = self.n.len();
-        let mut t = vec![0u64; k + 2];
-        let mut tmp = vec![0u64; k];
-
-        let mut one_raw = vec![0u64; k];
-        one_raw[0] = 1;
-        let base_raw = pack64(&base.limbs, k);
-
-        let mut base_m = vec![0u64; k];
-        self.mont_mul(&self.rr, &base_raw, &mut base_m, &mut t);
-
-        let bits = exp.bit_len();
-        let acc = if bits <= 64 {
-            // Square-and-multiply, most significant bit first.
-            let mut acc = base_m.clone();
-            for i in (0..bits - 1).rev() {
-                self.mont_mul(&acc, &acc, &mut tmp, &mut t);
-                std::mem::swap(&mut acc, &mut tmp);
-                if exp.bit(i) {
-                    self.mont_mul(&acc, &base_m, &mut tmp, &mut t);
-                    std::mem::swap(&mut acc, &mut tmp);
-                }
-            }
-            acc
-        } else {
-            // table[w] = base^w in Montgomery form, for window values 0..16.
-            let mut table = Vec::with_capacity(16);
-            let mut one_m = vec![0u64; k];
-            self.mont_mul(&self.rr, &one_raw, &mut one_m, &mut t);
-            table.push(one_m);
-            table.push(base_m);
-            for w in 2..16 {
-                let mut entry = vec![0u64; k];
-                self.mont_mul(&table[w - 1], &table[1], &mut entry, &mut t);
-                table.push(entry);
-            }
-
-            let window = |w: usize| -> usize {
-                let mut v = 0;
-                for b in 0..4 {
-                    if exp.bit(4 * w + b) {
-                        v |= 1 << b;
-                    }
-                }
-                v
-            };
-
-            let windows = bits.div_ceil(4);
-            let mut acc = table[window(windows - 1)].clone();
-            for w in (0..windows - 1).rev() {
-                for _ in 0..4 {
-                    self.mont_mul(&acc, &acc, &mut tmp, &mut t);
-                    std::mem::swap(&mut acc, &mut tmp);
-                }
-                let wv = window(w);
-                if wv != 0 {
-                    self.mont_mul(&acc, &table[wv], &mut tmp, &mut t);
-                    std::mem::swap(&mut acc, &mut tmp);
-                }
-            }
-            acc
-        };
-
-        // Leave Montgomery form: multiply by raw 1.
-        self.mont_mul(&acc, &one_raw, &mut tmp, &mut t);
-        unpack64(&tmp)
-    }
 }
 
 /// `a - b` on sign-magnitude pairs.

@@ -25,7 +25,8 @@
 //!
 //! All big-integer arithmetic ([`bigint::BigUint`]) is implemented here:
 //! schoolbook multiplication, Knuth Algorithm D division, modular
-//! exponentiation, extended-Euclid inverses, and Miller–Rabin primality.
+//! exponentiation on a fixed-width Montgomery kernel, extended-Euclid
+//! inverses, and Miller–Rabin primality.
 
 pub mod bigint;
 pub mod entropy;

@@ -1,9 +1,13 @@
 //! Probabilistic prime generation: trial division + Miller–Rabin.
+//!
+//! Trial division takes single-limb remainders; every candidate that
+//! survives it gets one Montgomery context, and all its Miller–Rabin
+//! rounds run in Montgomery form on that context.
 
-use crate::bigint::BigUint;
+use crate::bigint::{with_width, BigUint, Montgomery, MONTGOMERY_MAX_BITS};
 use crate::entropy::EntropySource;
 
-/// Small primes used for cheap trial division before Miller–Rabin.
+/// Every prime below 256, for cheap trial division before Miller–Rabin.
 const SMALL_PRIMES: [u32; 54] = [
     2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97,
     101, 103, 107, 109, 113, 127, 131, 137, 139, 149, 151, 157, 163, 167, 173, 179, 181, 191, 193,
@@ -14,24 +18,48 @@ const SMALL_PRIMES: [u32; 54] = [
 const MR_ROUNDS: usize = 40;
 
 /// Test `n` for probable primality.
+///
+/// Panics if `n` is wider than [`MONTGOMERY_MAX_BITS`] and has no factor
+/// below 256.
 pub fn is_probable_prime(n: &BigUint, rng: &mut dyn EntropySource) -> bool {
-    if n < &BigUint::from_u64(2) {
+    if n.bit_len() <= 8 {
+        return SMALL_PRIMES
+            .iter()
+            .any(|&p| n == &BigUint::from_u64(u64::from(p)));
+    }
+    if has_small_factor(n) {
         return false;
     }
-    for &p in &SMALL_PRIMES {
-        let p = BigUint::from_u64(u64::from(p));
-        if n == &p {
-            return true;
-        }
-        if n.rem(&p).is_zero() {
-            return false;
-        }
-    }
-    miller_rabin(n, MR_ROUNDS, rng)
+    with_width!(n.bit_len().div_ceil(64), N => miller_rabin(&Montgomery::<N>::new(n), n, rng))
+        .unwrap_or_else(|| panic!("primality test above {MONTGOMERY_MAX_BITS} bits"))
 }
 
-/// Miller–Rabin with `rounds` random bases.
-fn miller_rabin(n: &BigUint, rounds: usize, rng: &mut dyn EntropySource) -> bool {
+/// Whether a prime below 256 divides `n`. The primes go in runs whose
+/// product fits a `u32`, so one single-limb remainder of `n` serves a run.
+fn has_small_factor(n: &BigUint) -> bool {
+    let mut rest = &SMALL_PRIMES[..];
+    while !rest.is_empty() {
+        let (mut product, mut len) = (1u32, 0);
+        while let Some(next) = rest.get(len).and_then(|&p| product.checked_mul(p)) {
+            product = next;
+            len += 1;
+        }
+        let r = n.rem_u32(product);
+        if rest[..len].iter().any(|&p| r.is_multiple_of(p)) {
+            return true;
+        }
+        rest = &rest[len..];
+    }
+    false
+}
+
+/// Miller–Rabin with [`MR_ROUNDS`] random bases, in Montgomery form on
+/// `ctx`, the context for the odd `n`.
+fn miller_rabin<const N: usize>(
+    ctx: &Montgomery<N>,
+    n: &BigUint,
+    rng: &mut dyn EntropySource,
+) -> bool {
     let one = BigUint::one();
     let n_minus_1 = n.sub(&one);
     // n - 1 = 2^s * d with d odd.
@@ -41,16 +69,17 @@ fn miller_rabin(n: &BigUint, rounds: usize, rng: &mut dyn EntropySource) -> bool
         d = d.shr(1);
         s += 1;
     }
+    let (one_m, minus_one_m) = (ctx.enter(&one), ctx.enter(&n_minus_1));
 
-    'witness: for _ in 0..rounds {
+    'witness: for _ in 0..MR_ROUNDS {
         let a = random_below(&n_minus_1, rng).add(&one); // uniform in [1, n-1]
-        let mut x = a.modpow(&d, n);
-        if x == one || x == n_minus_1 {
+        let mut x = ctx.pow(&ctx.enter(&a), &d);
+        if x == one_m || x == minus_one_m {
             continue;
         }
         for _ in 0..s - 1 {
-            x = x.mul(&x).rem(n);
-            if x == n_minus_1 {
+            x = ctx.sqr(&x);
+            if x == minus_one_m {
                 continue 'witness;
             }
         }
@@ -83,15 +112,19 @@ pub fn random_below(bound: &BigUint, rng: &mut dyn EntropySource) -> BigUint {
 ///
 /// The top two bits are forced to 1 (so RSA moduli get their full length)
 /// and the low bit is forced to 1 (odd).
+///
+/// Panics if `bits` is below 8 or above [`MONTGOMERY_MAX_BITS`].
 pub fn generate_prime(bits: usize, rng: &mut dyn EntropySource) -> BigUint {
-    assert!(bits >= 8, "prime size too small");
-    let bytes = bits.div_ceil(8);
-    let mut buf = vec![0u8; bytes];
+    assert!(
+        (8..=MONTGOMERY_MAX_BITS).contains(&bits),
+        "unsupported prime size {bits}"
+    );
+    let mut buf = vec![0u8; bits.div_ceil(8)];
     loop {
         rng.fill_bytes(&mut buf);
+        // Clear the bits above `bits`, then force size and oddness.
+        buf[0] &= 0xff >> (8 * buf.len() - bits);
         let mut candidate = BigUint::from_bytes_be(&buf);
-        // Clear excess high bits, then force size and oddness.
-        candidate = candidate.rem(&BigUint::one().shl(bits));
         candidate.set_bit(bits - 1);
         candidate.set_bit(bits - 2);
         candidate.set_bit(0);

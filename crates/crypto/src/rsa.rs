@@ -15,6 +15,10 @@ const SHA256_DIGEST_INFO_PREFIX: [u8; 19] = [
     0x00, 0x04, 0x20,
 ];
 
+/// Shortest modulus, in bytes, that holds an EMSA-PKCS1-v1_5 SHA-256
+/// encoding: the `DigestInfo`, the digest and 11 bytes of padding.
+const MIN_MODULUS_LEN: usize = SHA256_DIGEST_INFO_PREFIX.len() + 32 + 11;
+
 /// The conventional RSA public exponent.
 pub fn default_exponent() -> BigUint {
     BigUint::from_u64(65_537)
@@ -88,6 +92,19 @@ impl CrtParams {
     }
 }
 
+/// Widest modulus [`RsaPublicKey::verify`] works on, in bits (OpenSSL's
+/// `OPENSSL_RSA_MAX_MODULUS_BITS`).
+pub const MAX_MODULUS_BITS: usize = 16_384;
+
+/// Above this many modulus bits, [`RsaPublicKey::verify`] takes public
+/// exponents of at most [`MAX_PUBEXP_BITS`] (OpenSSL's
+/// `OPENSSL_RSA_SMALL_MODULUS_BITS`).
+pub const SMALL_MODULUS_BITS: usize = 3_072;
+
+/// Longest public exponent, in bits, on a modulus over
+/// [`SMALL_MODULUS_BITS`] (OpenSSL's `OPENSSL_RSA_MAX_PUBEXP_BITS`).
+pub const MAX_PUBEXP_BITS: usize = 64;
+
 /// Errors from RSA operations.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RsaError {
@@ -95,6 +112,11 @@ pub enum RsaError {
     MessageTooLong,
     /// Signature verification failed.
     BadSignature,
+    /// The modulus is wider than [`MAX_MODULUS_BITS`].
+    ModulusTooLarge,
+    /// The public exponent is not below the modulus, or is longer than
+    /// [`MAX_PUBEXP_BITS`] on a modulus over [`SMALL_MODULUS_BITS`].
+    ExponentTooLarge,
 }
 
 impl std::fmt::Display for RsaError {
@@ -102,6 +124,13 @@ impl std::fmt::Display for RsaError {
         match self {
             RsaError::MessageTooLong => write!(f, "message representative out of range"),
             RsaError::BadSignature => write!(f, "RSA signature verification failed"),
+            RsaError::ModulusTooLarge => {
+                write!(f, "RSA modulus wider than {MAX_MODULUS_BITS} bits")
+            }
+            RsaError::ExponentTooLarge => write!(
+                f,
+                "RSA public exponent not below the modulus, or over {MAX_PUBEXP_BITS} bits on a modulus over {SMALL_MODULUS_BITS} bits"
+            ),
         }
     }
 }
@@ -221,9 +250,23 @@ impl RsaPublicKey {
     }
 
     /// Verify an RSASSA-PKCS1-v1_5 / SHA-256 signature over `msg`.
+    ///
+    /// A key outside OpenSSL's bounds is refused before any arithmetic, so
+    /// a hostile certificate cannot make one check run for seconds: a
+    /// modulus over [`MAX_MODULUS_BITS`], an exponent not below the
+    /// modulus, or an exponent over [`MAX_PUBEXP_BITS`] on a modulus over
+    /// [`SMALL_MODULUS_BITS`].
     pub fn verify(&self, msg: &[u8], signature: &[u8]) -> Result<(), RsaError> {
+        let bits = self.n.bit_len();
+        if bits > MAX_MODULUS_BITS {
+            return Err(RsaError::ModulusTooLarge);
+        }
+        if self.e >= self.n || bits > SMALL_MODULUS_BITS && self.e.bit_len() > MAX_PUBEXP_BITS {
+            return Err(RsaError::ExponentTooLarge);
+        }
         let k = self.modulus_len();
-        if signature.len() != k {
+        // A modulus too short for the SHA-256 encoding verifies nothing.
+        if signature.len() != k || k < MIN_MODULUS_LEN {
             return Err(RsaError::BadSignature);
         }
         let s = BigUint::from_bytes_be(signature);
@@ -263,7 +306,10 @@ fn emsa_pkcs1_v15(msg: &[u8], k: usize) -> Vec<u8> {
 fn emsa_pkcs1_v15_into(msg: &[u8], k: usize, em: &mut Vec<u8>) {
     let digest = sha256(msg);
     let t_len = SHA256_DIGEST_INFO_PREFIX.len() + digest.len();
-    assert!(k >= t_len + 11, "modulus too small for PKCS#1 v1.5 SHA-256");
+    assert!(
+        k >= MIN_MODULUS_LEN,
+        "modulus too small for PKCS#1 v1.5 SHA-256"
+    );
     em.clear();
     em.push(0x00);
     em.push(0x01);
@@ -387,6 +433,88 @@ mod tests {
         );
         assert!(bogus.primes().is_none());
         assert_eq!(bogus.sign(b"msg"), kp.sign(b"msg"));
+    }
+
+    /// `2^(bits-1) + 1`: odd, exactly `bits` bits.
+    fn odd_modulus(bits: usize) -> BigUint {
+        let mut n = BigUint::one();
+        n.set_bit(bits - 1);
+        n
+    }
+
+    /// A key with public and private exponent 1, so its signature over a
+    /// message is the message's encoding and verifies under any modulus
+    /// the arithmetic accepts.
+    fn identity_key(bits: usize) -> RsaKeyPair {
+        RsaKeyPair::from_parts(odd_modulus(bits), BigUint::one(), BigUint::one())
+    }
+
+    #[test]
+    fn verify_refuses_moduli_over_the_limit() {
+        let at = identity_key(MAX_MODULUS_BITS);
+        at.public.verify(b"m", &at.sign(b"m")).unwrap();
+        let over = identity_key(MAX_MODULUS_BITS + 1);
+        assert_eq!(
+            over.public.verify(b"m", &over.sign(b"m")),
+            Err(RsaError::ModulusTooLarge)
+        );
+    }
+
+    #[test]
+    fn verify_refuses_long_exponents_on_wide_moduli() {
+        let key = |bits: usize, e_bits: usize| RsaPublicKey {
+            n: odd_modulus(bits),
+            e: odd_modulus(e_bits),
+        };
+        let verify = |pk: RsaPublicKey| {
+            // Below the modulus, so only the arithmetic can reject it.
+            let mut sig = vec![0x01; pk.modulus_len()];
+            sig[0] = 0;
+            pk.verify(b"m", &sig)
+        };
+        let over = MAX_PUBEXP_BITS + 1;
+        assert_eq!(
+            verify(key(SMALL_MODULUS_BITS + 1, over)),
+            Err(RsaError::ExponentTooLarge)
+        );
+        // At either limit the arithmetic runs, and the arbitrary signature
+        // fails as a signature.
+        assert_eq!(
+            verify(key(SMALL_MODULUS_BITS + 1, MAX_PUBEXP_BITS)),
+            Err(RsaError::BadSignature)
+        );
+        assert_eq!(
+            verify(key(SMALL_MODULUS_BITS, over)),
+            Err(RsaError::BadSignature)
+        );
+    }
+
+    #[test]
+    fn verify_refuses_exponents_not_below_the_modulus() {
+        let kp = test_key();
+        let sig = kp.sign(b"m");
+        let n = &kp.public.n;
+        let with_e = |e: BigUint| RsaPublicKey { n: n.clone(), e }.verify(b"m", &sig);
+        assert_eq!(with_e(n.clone()), Err(RsaError::ExponentTooLarge));
+        assert_eq!(
+            with_e(n.sub(&BigUint::from_u64(2))),
+            Err(RsaError::BadSignature)
+        );
+    }
+
+    #[test]
+    fn verify_rejects_moduli_too_short_for_the_encoding() {
+        for len in [MIN_MODULUS_LEN - 1, 32, 1] {
+            let pk = RsaPublicKey {
+                n: odd_modulus(8 * len),
+                e: BigUint::from_u64(3),
+            };
+            assert_eq!(
+                pk.verify(b"m", &vec![0x01; len]),
+                Err(RsaError::BadSignature),
+                "{len}-byte modulus"
+            );
+        }
     }
 
     #[test]

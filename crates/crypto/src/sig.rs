@@ -164,8 +164,13 @@ impl PublicKey {
     pub fn verify(&self, msg: &[u8], sig: &Signature) -> Result<(), SigError> {
         match (self, sig.algorithm) {
             (PublicKey::Rsa(pk), SigAlgorithm::RsaSha256) => {
+                // A key refused for its size gets the verdict of a signature
+                // that does not verify.
                 pk.verify(msg, &sig.bytes).map_err(|e: RsaError| match e {
-                    RsaError::BadSignature | RsaError::MessageTooLong => SigError::BadSignature,
+                    RsaError::BadSignature
+                    | RsaError::MessageTooLong
+                    | RsaError::ModulusTooLarge
+                    | RsaError::ExponentTooLarge => SigError::BadSignature,
                 })
             }
             (PublicKey::Sim(pk), SigAlgorithm::Sim) => {

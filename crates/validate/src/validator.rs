@@ -697,6 +697,37 @@ mod tests {
     }
 
     #[test]
+    fn oversized_rsa_key_is_not_self_signed() {
+        use silentcert_crypto::rsa::MAX_MODULUS_BITS;
+        use silentcert_crypto::{BigUint, RsaKeyPair};
+        // Exponents of 1 make the signature the message encoding itself,
+        // so it verifies under its own key whenever verify does the
+        // arithmetic at all.
+        let self_signed = |bits: usize| {
+            let mut n = BigUint::one();
+            n.set_bit(bits - 1);
+            let key = KeyPair::Rsa(RsaKeyPair::from_parts(n, BigUint::one(), BigUint::one()));
+            let (nb, na) = years(2013, 2033);
+            CertificateBuilder::new()
+                .serial_u64(1)
+                .subject(Name::with_common_name(&format!("rsa-{bits}.example")))
+                .validity(nb, na)
+                .self_signed(&key)
+        };
+        let v = Validator::new(TrustStore::new());
+        assert_eq!(
+            v.classify(&self_signed(MAX_MODULUS_BITS), &[]),
+            Classification::Invalid(InvalidityReason::SelfSigned)
+        );
+        let oversized = self_signed(MAX_MODULUS_BITS + 1);
+        assert!(!oversized.is_self_signed());
+        assert_eq!(
+            v.classify(&oversized, &[]),
+            Classification::Invalid(InvalidityReason::UntrustedIssuer)
+        );
+    }
+
+    #[test]
     fn verify_memo_is_bounded_with_eviction() {
         use silentcert_crypto::{RsaKeyPair, XorShift64};
         let mut rng = XorShift64::new(0xb0bb);

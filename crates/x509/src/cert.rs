@@ -6,6 +6,7 @@ use silentcert_asn1::{Decoder, Encoder, Error as DerError, Oid, Tag, Time};
 use silentcert_crypto::sha256::sha256;
 use silentcert_crypto::sig::{PublicKey, SigAlgorithm, SigError, Signature};
 use std::fmt;
+use std::ops::Range;
 
 /// SHA-256 fingerprint of a certificate's full DER encoding.
 ///
@@ -73,8 +74,8 @@ impl From<SigError> for CertificateError {
 
 /// A parsed X.509 certificate.
 ///
-/// Retains both the decoded fields and the exact DER bytes (full
-/// certificate and TBS portion), so fingerprints and signature checks
+/// Retains both the decoded fields and the exact DER bytes, with the TBS
+/// portion kept as a range of them, so fingerprints and signature checks
 /// operate on the wire encoding.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Certificate {
@@ -102,8 +103,8 @@ pub struct Certificate {
     pub signature: Vec<u8>,
     /// Full certificate DER.
     der: Vec<u8>,
-    /// TBS DER (the signed bytes).
-    tbs_der: Vec<u8>,
+    /// Where the TBS DER (the signed bytes) sits in `der`.
+    tbs: Range<usize>,
 }
 
 impl Certificate {
@@ -142,6 +143,13 @@ impl Certificate {
             enc.bit_string(&signature.bytes);
         });
         let der = enc.finish();
+        // The TBS is the first element of the outer SEQUENCE, so it starts
+        // where that SEQUENCE's contents do.
+        let start = der.len()
+            - Decoder::new(&der)
+                .sequence()
+                .expect("freshly encoded certificate")
+                .remaining();
         Certificate {
             version,
             serial,
@@ -154,7 +162,7 @@ impl Certificate {
             sig_alg,
             signature: signature.bytes,
             der,
-            tbs_der,
+            tbs: start..start + tbs_der.len(),
         }
     }
 
@@ -176,7 +184,6 @@ impl Certificate {
             // Offset of TBS start within `der`.
             tbs_total_offset = der.len() - top.remaining() - cert.remaining();
         }
-        let tbs_der = der[tbs_total_offset..tbs_total_offset + tbs_len].to_vec();
 
         let mut tbs = cert.sequence()?;
         // version [0] EXPLICIT INTEGER DEFAULT v1
@@ -238,7 +245,7 @@ impl Certificate {
             sig_alg,
             signature: sig_bits.to_vec(),
             der: der.to_vec(),
-            tbs_der,
+            tbs: tbs_total_offset..tbs_total_offset + tbs_len,
         })
     }
 
@@ -249,7 +256,7 @@ impl Certificate {
 
     /// The TBS (signed) bytes.
     pub fn tbs_der(&self) -> &[u8] {
-        &self.tbs_der
+        &self.der[self.tbs.clone()]
     }
 
     /// SHA-256 fingerprint of the DER encoding.
@@ -274,7 +281,7 @@ impl Certificate {
             algorithm: self.sig_alg,
             bytes: self.signature.clone(),
         };
-        signer.verify(&self.tbs_der, &sig)
+        signer.verify(self.tbs_der(), &sig)
     }
 
     /// Whether the certificate's signature verifies under its **own**
