@@ -2,7 +2,7 @@
 //!
 //! Speaks exactly the shard protocol (newline-delimited JSON), so a
 //! client cannot tell a cluster from a single daemon — except that the
-//! cluster answers `health`/`stats`/`metrics`/`fleet` with fleet-wide
+//! cluster answers `health`/`metrics`/`fleet` with fleet-wide
 //! views and may answer `502` where a single shard would block or die.
 //!
 //! Per request the router:
@@ -575,29 +575,6 @@ impl Service for Shared {
                     &req.id,
                     code::OK,
                     &health_fields(&self.directory),
-                ));
-            }
-            Op::Stats => {
-                let s = &self.stats;
-                let (up, total) = self.directory.counts();
-                done.fill(protocol::response_line(
-                    &req.id,
-                    code::OK,
-                    &[
-                        ("role", "\"router\"".to_string()),
-                        ("requests", s.requests.value().to_string()),
-                        ("relayed", s.relayed.value().to_string()),
-                        ("retries", s.retries.value().to_string()),
-                        ("hedges", s.hedges.value().to_string()),
-                        ("refused_no_shard", s.refused_no_shard.value().to_string()),
-                        ("refused_budget", s.refused_budget.value().to_string()),
-                        ("refused_failed", s.refused_failed.value().to_string()),
-                        ("shed_relay", s.shed_relay.value().to_string()),
-                        ("bad_frames", s.bad_frames.value().to_string()),
-                        ("chaos_kills", s.chaos_kills.value().to_string()),
-                        ("shards_up", up.to_string()),
-                        ("shards_total", total.to_string()),
-                    ],
                 ));
             }
             Op::Shutdown => {

@@ -104,13 +104,11 @@ fn killing_a_shard_loses_no_responses() {
 
     let resp = send_once(&raddr, &victim_line);
     assert_eq!(code_of(&resp), 200, "failover must keep the answer: {resp}");
-    let stats = send_once(&raddr, r#"{"op":"stats","id":"s"}"#);
-    let v = silentcert_serve::json::parse(&stats).unwrap();
-    let retries = v.get("retries").and_then(|x| x.as_f64()).unwrap_or(0.0);
-    let hedges = v.get("hedges").and_then(|x| x.as_f64()).unwrap_or(0.0);
+    let retries = counter(router.addr(), "retries");
+    let hedges = counter(router.addr(), "hedges");
     assert!(
         retries + hedges >= 1.0,
-        "failover must be accounted as a retry or hedge: {stats}"
+        "failover must be accounted as a retry or hedge: {retries} retries, {hedges} hedges"
     );
 
     router.drain();
@@ -272,10 +270,14 @@ fn frames_owned_by(directory: &Directory, shard: u32, n: usize) -> Vec<(u32, Str
         .collect()
 }
 
-fn stat(router_addr: SocketAddr, field: &str) -> f64 {
-    let stats = send_once(&router_addr.to_string(), r#"{"op":"stats","id":"s"}"#);
-    let v = silentcert_serve::json::parse(&stats).unwrap();
-    v.get(field).and_then(|x| x.as_f64()).unwrap()
+/// The router's `silentcert_router_<name>_total`, read from its
+/// `metrics` verb.
+fn counter(router_addr: SocketAddr, name: &str) -> f64 {
+    let snap = silentcert_serve::fetch_metrics(&router_addr.to_string()).expect("metrics");
+    let v = silentcert_serve::json::parse(&snap).unwrap();
+    v.get(&format!("silentcert_router_{name}_total"))
+        .and_then(|x| x.as_f64())
+        .unwrap()
 }
 
 #[test]
@@ -324,7 +326,7 @@ fn late_primary_reply_is_dropped_and_the_upstream_stays_in_step() {
         "{resp}"
     );
 
-    assert_eq!(stat(router.addr(), "hedges"), 1.0);
+    assert_eq!(counter(router.addr(), "hedges"), 1.0);
     assert_eq!(directory.inflight_before(u64::MAX), 0);
     router.drain();
     let summary = router.wait();
@@ -509,7 +511,7 @@ fn window_and_wait_queue_bound_the_upstream_backlog() {
         .get_ref()
         .set_read_timeout(Some(Duration::from_secs(10)))
         .unwrap();
-    while stat(router.addr(), "shed_relay") < shed as f64 {
+    while counter(router.addr(), "shed_relay") < shed as f64 {
         std::thread::sleep(Duration::from_millis(10));
     }
 

@@ -182,18 +182,9 @@ impl QuarantineStore {
             format!("{stem}-{n}.rec")
         };
         let path = self.dir.join(name);
-        // Atomic + durable: tmp, fsync, rename, fsync the directory. A
-        // quarantined payload is evidence — a crash must not leave a
-        // torn record or silently lose the rename.
-        let tmp = self.dir.join(format!(".{stem}-{n}.rec.tmp"));
-        {
-            use std::io::Write;
-            let mut f = fs::File::create(&tmp)?;
-            f.write_all(payload)?;
-            f.sync_all()?;
-        }
-        fs::rename(&tmp, &path)?;
-        silentcert_obs::fsync_parent_dir(&path)?;
+        // Atomic and durable: a quarantined payload is evidence, so a
+        // crash must not leave a torn record or silently lose it.
+        silentcert_obs::atomic_write(&path, |out| out.write_all(payload))?;
         Ok(path)
     }
 }

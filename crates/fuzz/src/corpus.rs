@@ -1,11 +1,11 @@
 //! The triage corpus: a directory of minimized discrepancy cases.
 //!
-//! Files are named `<sha256-of-case>.case` and written via tmp + atomic
-//! rename, so a crashed fuzz run never leaves a half-written case and two
-//! concurrent runs that find the same discrepancy converge on one file.
+//! Files are named `<sha256-of-case>.case` and written through
+//! `silentcert_obs::atomic_write`, so a crashed fuzz run never leaves a
+//! half-written case and two concurrent runs that find the same
+//! discrepancy converge on one file.
 
 use crate::case::FuzzCase;
-use std::io::Write;
 use std::path::{Path, PathBuf};
 
 /// Store `case` in `dir`, creating the directory if needed. Returns the
@@ -17,16 +17,7 @@ pub fn store(dir: &Path, case: &FuzzCase) -> std::io::Result<(PathBuf, bool)> {
     if path.exists() {
         return Ok((path, false));
     }
-    let tmp = dir.join(format!(".{}.case.tmp", case.id()));
-    {
-        let mut f = std::fs::File::create(&tmp)?;
-        f.write_all(case.to_text().as_bytes())?;
-        f.sync_all()?;
-    }
-    std::fs::rename(&tmp, &path)?;
-    // The rename is visible but not durable until the parent directory
-    // entry itself is synced.
-    silentcert_obs::fsync_parent_dir(&path)?;
+    silentcert_obs::atomic_write(&path, |out| out.write_all(case.to_text().as_bytes()))?;
     Ok((path, true))
 }
 

@@ -9,8 +9,9 @@
 //! parent directory as well, or the `sync_all` on the file contents
 //! promises durability the filesystem never gave.
 
-use std::io;
-use std::path::Path;
+use std::fs::{self, File};
+use std::io::{self, BufWriter, Write};
+use std::path::{Path, PathBuf};
 
 /// fsync the directory containing `path`, making a just-completed
 /// rename (or file creation) in it durable.
@@ -25,7 +26,7 @@ pub fn fsync_parent_dir(path: &Path) -> io::Result<()> {
     };
     #[cfg(unix)]
     {
-        std::fs::File::open(parent)?.sync_all()
+        File::open(parent)?.sync_all()
     }
     #[cfg(not(unix))]
     {
@@ -34,23 +35,33 @@ pub fn fsync_parent_dir(path: &Path) -> io::Result<()> {
     }
 }
 
-/// Write `bytes` to `path` atomically and durably: temp file in the
-/// same directory, contents fsync'd, `rename` over the target, parent
-/// directory fsync'd. A reader never observes a partial file, and a
-/// crash after return cannot lose the write. The temp name embeds the
-/// pid so concurrent writers from different processes don't collide.
-pub fn atomic_write(path: &Path, bytes: &[u8]) -> io::Result<()> {
-    use std::io::Write;
-    let tmp = path.with_extension(format!("tmp.{}", std::process::id()));
-    {
-        let mut f = std::fs::File::create(&tmp)?;
-        f.write_all(bytes)?;
-        f.sync_all()?;
+/// Write `path` atomically and durably. `write_fn` streams the contents
+/// through a buffer into a temp file beside `path`, named
+/// `<path>.<pid>.tmp` so writers in different processes don't collide;
+/// the temp file is fsync'd and renamed over `path`, and the parent
+/// directory is fsync'd. A reader never observes a partial file, and a
+/// crash after return cannot lose the write. On any failure the temp
+/// file is removed, so `path` keeps its old contents or gets the new
+/// ones, and nothing else is left behind.
+pub fn atomic_write(
+    path: &Path,
+    write_fn: impl FnOnce(&mut dyn Write) -> io::Result<()>,
+) -> io::Result<()> {
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(format!(".{}.tmp", std::process::id()));
+    let tmp = PathBuf::from(tmp);
+    let written = (|| {
+        let mut out = BufWriter::new(File::create(&tmp)?);
+        write_fn(&mut out)?;
+        out.into_inner()
+            .map_err(io::IntoInnerError::into_error)?
+            .sync_all()?;
+        fs::rename(&tmp, path)
+    })();
+    if written.is_err() {
+        let _ = fs::remove_file(&tmp);
     }
-    if let Err(e) = std::fs::rename(&tmp, path) {
-        let _ = std::fs::remove_file(&tmp);
-        return Err(e);
-    }
+    written?;
     fsync_parent_dir(path)
 }
 
@@ -58,23 +69,49 @@ pub fn atomic_write(path: &Path, bytes: &[u8]) -> io::Result<()> {
 mod tests {
     use super::*;
 
-    #[test]
-    fn atomic_write_replaces_and_cleans_up() {
-        let dir = std::env::temp_dir().join(format!("silentcert-fsio-aw-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let file = dir.join("ring.json");
-        atomic_write(&file, b"one").unwrap();
-        atomic_write(&file, b"two").unwrap();
-        assert_eq!(std::fs::read(&file).unwrap(), b"two");
-        // No temp litter left behind.
-        let leftovers: Vec<_> = std::fs::read_dir(&dir)
+    /// Files in `dir` other than `keep`: a leaked temp file shows here.
+    fn strays(dir: &Path, keep: &[&str]) -> Vec<std::ffi::OsString> {
+        fs::read_dir(dir)
             .unwrap()
-            .filter_map(|e| e.ok())
-            .filter(|e| e.file_name() != "ring.json")
-            .collect();
-        assert!(leftovers.is_empty(), "{leftovers:?}");
-        assert!(atomic_write(&dir.join("missing").join("x"), b"x").is_err());
-        let _ = std::fs::remove_dir_all(&dir);
+            .map(|e| e.unwrap().file_name())
+            .filter(|name| !keep.iter().any(|k| name == k))
+            .collect()
+    }
+
+    #[test]
+    fn atomic_write_replaces_only_on_success_and_cleans_up() {
+        let dir = std::env::temp_dir().join(format!("silentcert-fsio-aw-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        fs::create_dir_all(&dir).unwrap();
+        let file = dir.join("ring.json");
+        atomic_write(&file, |w| w.write_all(b"one")).unwrap();
+        atomic_write(&file, |w| w.write_all(b"two")).unwrap();
+        assert_eq!(fs::read(&file).unwrap(), b"two");
+        assert!(strays(&dir, &["ring.json"]).is_empty());
+
+        // A write that fails partway keeps the old contents and leaves
+        // no temp file behind.
+        let err = atomic_write(&file, |w| {
+            w.write_all(&[b'x'; 20_000])?;
+            Err(io::Error::other("sink failed"))
+        })
+        .unwrap_err();
+        assert_eq!(err.to_string(), "sink failed");
+        assert_eq!(fs::read(&file).unwrap(), b"two", "old file clobbered");
+        assert!(strays(&dir, &["ring.json"]).is_empty());
+
+        // A failed write with no previous file creates nothing.
+        atomic_write(&dir.join("fresh"), |_| Err(io::Error::other("boom"))).unwrap_err();
+        assert!(strays(&dir, &["ring.json"]).is_empty());
+
+        // A rename onto a directory fails after the temp file is
+        // complete; that temp file goes too.
+        fs::create_dir(dir.join("taken")).unwrap();
+        atomic_write(&dir.join("taken"), |w| w.write_all(b"x")).unwrap_err();
+        assert!(strays(&dir, &["ring.json", "taken"]).is_empty());
+
+        assert!(atomic_write(&dir.join("missing").join("x"), |w| w.write_all(b"x")).is_err());
+        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]

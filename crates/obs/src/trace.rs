@@ -9,7 +9,8 @@
 //!   output at the default level.
 //! * **Machines via JSON lines.** [`Tracer::flush_to`] writes every
 //!   buffered record — spans and logs — as one JSON object per line,
-//!   atomically (tmp + rename), sorted by `(ts_ms, thread, seq)`.
+//!   atomically ([`crate::atomic_write`]), sorted by
+//!   `(ts_ms, thread, seq)`.
 //!   Under a [`VirtualClock`](crate::clock::VirtualClock) the sort key
 //!   is fully deterministic, so two identical runs produce
 //!   byte-identical trace files regardless of OS thread interleaving.
@@ -26,7 +27,6 @@
 use crate::clock::{Clock, SystemClock};
 use std::cell::RefCell;
 use std::collections::VecDeque;
-use std::io::Write;
 use std::marker::PhantomData;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -348,27 +348,16 @@ impl Tracer {
         self.dropped.load(Ordering::Relaxed)
     }
 
-    /// Drain the buffer and atomically write it as JSON lines: records
-    /// are sorted, serialized one per line, written to `{path}.tmp`,
-    /// fsynced, and renamed over `path` — a crash never leaves a
-    /// half-written trace.
+    /// Drain the buffer and write it as JSON lines, sorted, through
+    /// [`crate::atomic_write`]: a crash never leaves a half-written trace.
     pub fn flush_to(&self, path: &Path) -> std::io::Result<()> {
         let records = self.drain();
-        let mut body = String::new();
-        for r in &records {
-            body.push_str(&r.to_json());
-            body.push('\n');
-        }
-        let tmp = path.with_extension("jsonl.tmp");
-        {
-            let mut f = std::fs::File::create(&tmp)?;
-            f.write_all(body.as_bytes())?;
-            f.sync_all()?;
-        }
-        std::fs::rename(&tmp, path)?;
-        // The rename is visible but not durable until the parent
-        // directory entry itself is synced.
-        crate::fsio::fsync_parent_dir(path)
+        crate::fsio::atomic_write(path, |out| {
+            for r in &records {
+                writeln!(out, "{}", r.to_json())?;
+            }
+            Ok(())
+        })
     }
 }
 

@@ -117,8 +117,7 @@ fn shard_spec(
                 .arg("--drain-deadline-ms")
                 .arg(drain_deadline_ms.to_string())
                 .arg("--journal")
-                .arg(journal_dir.join(format!("shard-{id}-gen-{generation}.journal")))
-                .arg("--journal-sync");
+                .arg(journal_dir.join(format!("shard-{id}-gen-{generation}.journal")));
             cmd
         }),
     }
@@ -308,7 +307,7 @@ pub fn run_cluster(config: &ScaleConfig, scale: &str, opts: &ClusterCliOptions) 
     aggregator.stop();
     if let Some(ring_path) = crate::obs_setup::metrics_sibling("ring") {
         let export = fleet_handle.export_json();
-        match silentcert_obs::atomic_write(&ring_path, export.as_bytes()) {
+        match silentcert_obs::atomic_write(&ring_path, |w| w.write_all(export.as_bytes())) {
             Ok(()) => info!(
                 "fleet ring ({} rounds) exported to {}",
                 fleet_handle.rounds(),

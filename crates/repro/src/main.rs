@@ -108,14 +108,19 @@ fn usage() -> ! {
          \x20 --addr HOST:PORT   bind address (default 127.0.0.1:0)\n\
          \x20 --workers N        event loops sharing the port; each\n\
          \x20                    classifies what it reads (default: all cores)\n\
-         \x20 --journal FILE     crash-safe replayable request journal\n\
-         \x20 --journal-sync     write-through journal (records durable\n\
-         \x20                    before the response; survives SIGKILL)\n\
+         \x20 --journal FILE     crash-safe replayable request journal: each\n\
+         \x20                    record is written before its answer, a\n\
+         \x20                    request the file did not take is answered\n\
+         \x20                    503, and a standalone daemon replays the\n\
+         \x20                    journal after the drain (exit 1 on a\n\
+         \x20                    mismatch)\n\
          \x20 --chaos-ops        honour chaos_panic frames (panic drills)\n\
          \x20 --strict-workers   exit 1 if any request panicked\n\
          \x20 --drain-deadline-ms N  how long a drain waits for in-flight\n\
          \x20                    classifications (default 5000)\n\
-         \x20 --shard-id N       identity inside a cluster (default 0)\n\
+         \x20 --shard-id N       identity inside a cluster, which replays\n\
+         \x20                    the shard's journal itself (default:\n\
+         \x20                    standalone, shard 0)\n\
          \n\
          options for cluster:\n\
          \x20 --addr HOST:PORT   router bind address (default 127.0.0.1:0;\n\
@@ -239,8 +244,7 @@ fn run() {
     let mut reconfigure: Option<String> = None;
     let mut strict_workers = false;
     let mut drain_deadline_ms: u64 = 5_000;
-    let mut shard_id: u32 = 0;
-    let mut journal_sync = false;
+    let mut shard_id: Option<u32> = None;
     let mut cluster = false;
     let mut shards: u32 = 3;
     let mut journal_dir: Option<String> = None;
@@ -353,14 +357,14 @@ fn run() {
                         .unwrap_or_else(|| die("'--replay' expects a ring export file")),
                 );
             }
-            "--journal-sync" => journal_sync = true,
             "--cluster" => cluster = true,
             "--shard-id" => {
                 i += 1;
-                shard_id = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| die("'--shard-id' expects a shard number"));
+                shard_id = Some(
+                    args.get(i)
+                        .and_then(|s| s.parse().ok())
+                        .unwrap_or_else(|| die("'--shard-id' expects a shard number")),
+                );
             }
             "--shards" => {
                 i += 1;
@@ -623,7 +627,6 @@ fn run() {
                 strict_workers,
                 drain_deadline_ms,
                 shard_id,
-                journal_sync,
             },
         );
     }

@@ -22,7 +22,7 @@ use silentcert_validate::{TrustStore, Validator};
 use silentcert_x509::{CertificateBuilder, Name, Time};
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -38,11 +38,10 @@ pub struct ServeCliOptions {
     pub strict_workers: bool,
     /// How long a drain may wait for in-flight classifications.
     pub drain_deadline_ms: u64,
-    /// This daemon's identity inside a cluster (0 standalone).
-    pub shard_id: u32,
-    /// Write every journal record through to the file before the
-    /// response is sent (cluster mode: SIGKILL must not lose entries).
-    pub journal_sync: bool,
+    /// This daemon's identity inside a cluster; `None` standalone. The
+    /// cluster replays its shards' journals, so only a standalone daemon
+    /// replays its own.
+    pub shard_id: Option<u32>,
 }
 
 /// CLI-level options for `repro loadgen`.
@@ -78,11 +77,17 @@ pub struct LoadgenCliOptions {
 /// deterministic simulated ecosystem.
 pub fn build_validator(config: &ScaleConfig) -> (CaEcosystem, Arc<Validator>) {
     let eco = CaEcosystem::generate(config);
+    let v = validator_for(&eco);
+    (eco, Arc::new(v))
+}
+
+/// A fresh validator over `eco`'s roots and brand intermediates.
+fn validator_for(eco: &CaEcosystem) -> Validator {
     let mut v = Validator::new(TrustStore::from_roots(eco.roots.clone()));
     for brand in &eco.brands {
         v.add_intermediate(&brand.intermediate);
     }
-    (eco, Arc::new(v))
+    v
 }
 
 /// Render the simulated request corpus `loadgen` replays: a mix shaped
@@ -177,15 +182,14 @@ pub fn run_serve(config: &ScaleConfig, opts: &ServeCliOptions) -> ! {
         drain_deadline_ms: opts.drain_deadline_ms,
         journal_path: opts.journal.clone(),
         enable_chaos_ops: opts.chaos_ops,
-        shard_id: opts.shard_id,
-        journal_write_through: opts.journal_sync,
+        shard_id: opts.shard_id.unwrap_or(0),
         breaker: BreakerConfig::default(),
         ..ServeConfig::default()
     };
     let handle = match server::start(server_config, validator) {
         Ok(h) => h,
         Err(e) => {
-            error!("bind {}: {e}", opts.addr);
+            error!("{e}");
             crate::exit(1);
         }
     };
@@ -209,15 +213,46 @@ pub fn run_serve(config: &ScaleConfig, opts: &ServeCliOptions) -> ! {
     let metrics_probe = handle.metrics_probe();
     let summary = handle.wait();
     info!(
-        "drained: clean={} served_ok={} worker_panics={} journal_entries={}",
-        summary.clean, summary.served_ok, summary.worker_panics, summary.journal_entries
+        "drained: clean={} served_ok={} worker_panics={} journal_entries={} journal_refused={}",
+        summary.clean,
+        summary.served_ok,
+        summary.worker_panics,
+        summary.journal_entries,
+        summary.journal_refused
     );
     crate::obs_setup::write_metrics_snapshot(&metrics_probe());
+    // A cluster shard leaves its journal to the cluster, which replays
+    // every generation at handoff and at shutdown; replaying here too
+    // would stretch the shard's exit past its drain deadline.
+    let replayed = match (&opts.journal, opts.shard_id) {
+        (Some(path), None) => replay_journal(path, &eco),
+        _ => true,
+    };
     let strict_failure = opts.strict_workers && summary.worker_panics > 0;
-    if !summary.clean || strict_failure {
+    if !summary.clean || strict_failure || !replayed {
         crate::exit(1);
     }
     crate::exit(0);
+}
+
+/// Replay the drained daemon's journal through a fresh validator over
+/// the same ecosystem, as `repro cluster` does for every shard
+/// generation: the classification served online must replay
+/// byte-identically. False on a mismatch or an unreadable journal.
+fn replay_journal(path: &Path, eco: &CaEcosystem) -> bool {
+    match silentcert_serve::replay(path, &validator_for(eco)) {
+        Ok(report) => {
+            info!(
+                "journal replay: entries={} mismatches={} torn_tail={}",
+                report.entries, report.mismatches, report.truncated_tail
+            );
+            report.mismatches == 0
+        }
+        Err(e) => {
+            error!("replaying {}: {e}", path.display());
+            false
+        }
+    }
 }
 
 /// `repro loadgen`: replay the simulated corpus against a daemon.

@@ -6,10 +6,17 @@
 //! transport errors, every admin op acknowledged, the topology epoch
 //! advanced once per cutover, and the books balanced
 //! (journaled-or-refused) across every topology epoch.
+//!
+//! A second drill drains one shard whose journal holds thousands of
+//! records under a short drain deadline: the shard must exit in time
+//! however long its journal grew, because the cluster, not the shard,
+//! replays it.
 
 use silentcert_serve::json::{self, Value};
-use std::io::{BufRead, BufReader, Read};
+use std::io::{BufRead, BufReader, Read, Write};
+use std::net::TcpStream;
 use std::process::{Command, Stdio};
+use std::time::Duration;
 
 fn repro() -> Command {
     Command::new(env!("CARGO_BIN_EXE_repro"))
@@ -29,6 +36,36 @@ fn last_json_line(out: &str) -> Value {
         .find(|l| l.trim_start().starts_with('{'))
         .unwrap_or_else(|| panic!("no JSON line in output:\n{out}"));
     json::parse(line).unwrap_or_else(|e| panic!("bad JSON {line:?}: {e}"))
+}
+
+/// Send one frame to `addr` and parse the one-line reply.
+fn send_frame(addr: &str, frame: &str) -> Value {
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(120)))
+        .expect("read timeout");
+    stream
+        .write_all(format!("{frame}\n").as_bytes())
+        .expect("send frame");
+    let mut reply = String::new();
+    BufReader::new(stream)
+        .read_line(&mut reply)
+        .expect("read reply");
+    json::parse(reply.trim()).unwrap_or_else(|e| panic!("bad reply {reply:?}: {e}"))
+}
+
+/// Drains the cluster at its address if the test panics, so a failed
+/// assertion does not leave the fleet running.
+struct ShutdownOnPanic(String);
+
+impl Drop for ShutdownOnPanic {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            if let Ok(mut stream) = TcpStream::connect(&self.0) {
+                let _ = stream.write_all(b"{\"op\":\"shutdown\",\"id\":\"cleanup\"}\n");
+            }
+        }
+    }
 }
 
 #[test]
@@ -148,6 +185,84 @@ fn full_reconfiguration_under_load_loses_nothing() {
     assert!(
         surplus <= bound,
         "unexplained journal surplus {surplus} > {bound}: {summary:?}"
+    );
+
+    let _ = std::fs::remove_dir_all(&journal_dir);
+}
+
+#[test]
+fn a_shard_with_a_large_journal_drains_within_the_deadline() {
+    let journal_dir =
+        std::env::temp_dir().join(format!("silentcert-drain-large-{}", std::process::id()));
+    let mut cluster = repro()
+        .args([
+            "cluster",
+            "--scale",
+            "tiny",
+            "--shards",
+            "2",
+            "--admin",
+            "--backoff-ms",
+            "50",
+            "--drain-deadline-ms",
+            "1000",
+            "--journal-dir",
+        ])
+        .arg(&journal_dir)
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("spawn cluster");
+    let mut stdout = BufReader::new(cluster.stdout.take().expect("stdout piped"));
+    let mut line = String::new();
+    stdout.read_line(&mut line).expect("handshake line");
+    let addr = line
+        .strip_prefix("LISTENING ")
+        .unwrap_or_else(|| panic!("expected LISTENING handshake, got {line:?}"))
+        .trim()
+        .to_string();
+    let _cleanup = ShutdownOnPanic(addr.clone());
+
+    // Grow both shards' journals to thousands of records.
+    let load = repro()
+        .args([
+            "loadgen",
+            "--addr",
+            &addr,
+            "--requests",
+            "12000",
+            "--connections",
+            "16",
+            "--pipeline",
+            "4",
+        ])
+        .stderr(Stdio::null())
+        .output()
+        .expect("run loadgen");
+    assert!(load.status.success(), "loadgen failed");
+    let report = last_json_line(&String::from_utf8_lossy(&load.stdout));
+    assert_eq!(num(&report, "code_200"), 12000.0, "{report:?}");
+
+    // The supervisor answers 502 if the shard outlives the deadline.
+    let drained = send_frame(&addr, r#"{"op":"drain_shard","id":"drain","shard":0}"#);
+    assert_eq!(num(&drained, "code"), 200.0, "{drained:?}");
+    assert!(
+        num(&drained, "handoff_entries") >= 3000.0,
+        "the drained shard's journal should be large: {drained:?}"
+    );
+    assert_eq!(num(&drained, "handoff_mismatches"), 0.0, "{drained:?}");
+
+    let stopped = send_frame(&addr, r#"{"op":"shutdown","id":"stop"}"#);
+    assert_eq!(num(&stopped, "code"), 200.0, "{stopped:?}");
+    let status = cluster.wait().expect("cluster exit");
+    let mut rest = String::new();
+    stdout.read_to_string(&mut rest).expect("summary");
+    let summary = last_json_line(&rest);
+    assert!(status.success(), "cluster exited unclean: {summary:?}");
+    assert_eq!(num(&summary, "replay_mismatches"), 0.0, "{summary:?}");
+    assert!(
+        num(&summary, "journal_entries") >= 12000.0,
+        "every 200 has a record: {summary:?}"
     );
 
     let _ = std::fs::remove_dir_all(&journal_dir);

@@ -11,7 +11,7 @@
 //! ```
 //!
 //! While **open**, classification work is shed at admission (`503`)
-//! before any classification runs — only `health` and `stats`
+//! before any classification runs — only `health` and `metrics`
 //! keep being served, so operators can watch the breaker recover. After
 //! [`BreakerConfig::open_cooldown_ms`] the breaker becomes **half-open**
 //! and admits exactly [`BreakerConfig::half_open_probes`] live probes;
@@ -105,11 +105,8 @@ pub struct CircuitBreaker {
     /// When half-open: probe slots granted and results seen.
     probes_granted: usize,
     probes_succeeded: usize,
-    /// Lifetime trip count, for the stats endpoint.
-    pub trips: u64,
     /// Lifetime state transitions by destination state, for the
-    /// `metrics` endpoint (`to_open == trips`: every trip is a
-    /// transition into Open).
+    /// `metrics` endpoint (every trip is a transition into Open).
     pub transitions_to_open: u64,
     pub transitions_to_half_open: u64,
     pub transitions_to_closed: u64,
@@ -126,7 +123,6 @@ impl CircuitBreaker {
             probe_at_ms: 0,
             probes_granted: 0,
             probes_succeeded: 0,
-            trips: 0,
             transitions_to_open: 0,
             transitions_to_half_open: 0,
             transitions_to_closed: 0,
@@ -200,7 +196,6 @@ impl CircuitBreaker {
     fn trip(&mut self, now_ms: u64) {
         self.state = BreakerState::Open;
         self.probe_at_ms = now_ms + self.config.open_cooldown_ms;
-        self.trips += 1;
         self.transitions_to_open += 1;
     }
 
@@ -249,7 +244,7 @@ mod tests {
             b.record(0, false, 1);
         }
         assert_eq!(b.state(), BreakerState::Open);
-        assert_eq!(b.trips, 1);
+        assert_eq!(b.transitions_to_open, 1);
         assert_eq!(b.admit(499), Admission::Shed);
         // Cooldown elapsed: next admission is the first half-open probe.
         assert_eq!(b.admit(500), Admission::Admit);
@@ -285,7 +280,7 @@ mod tests {
         assert_eq!(b.admit(500), Admission::Admit);
         b.record(510, false, 1);
         assert_eq!(b.state(), BreakerState::Open);
-        assert_eq!(b.trips, 2);
+        assert_eq!(b.transitions_to_open, 2);
         assert_eq!(b.admit(1009), Admission::Shed);
         assert_eq!(b.admit(1010), Admission::Admit);
     }
@@ -319,7 +314,6 @@ mod tests {
         }
         // Closed → Open.
         assert_eq!(b.transitions_to_open, 1);
-        assert_eq!(b.transitions_to_open, b.trips);
         // Open → HalfOpen after cooldown.
         b.admit(500);
         b.admit(500);
@@ -328,12 +322,11 @@ mod tests {
         b.record(501, true, 1);
         b.record(501, true, 1);
         assert_eq!(b.transitions_to_closed, 1);
-        // Trip again: Open counter keeps pace with trips.
+        // Trip again.
         for _ in 0..4 {
             b.admit(600);
             b.record(600, false, 1);
         }
         assert_eq!(b.transitions_to_open, 2);
-        assert_eq!(b.transitions_to_open, b.trips);
     }
 }

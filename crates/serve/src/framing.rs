@@ -89,9 +89,12 @@ mod tests {
         s.push(b"{\"op\":\"he");
         assert_eq!(s.next(1024), Scan::Partial);
         assert!(s.has_partial());
-        s.push(b"alth\"}\n{\"op\":\"stats\"}\npar");
+        s.push(b"alth\"}\n{\"op\":\"metrics\"}\npar");
         assert_eq!(s.next(1024), Scan::Frame("{\"op\":\"health\"}".to_string()));
-        assert_eq!(s.next(1024), Scan::Frame("{\"op\":\"stats\"}".to_string()));
+        assert_eq!(
+            s.next(1024),
+            Scan::Frame("{\"op\":\"metrics\"}".to_string())
+        );
         assert_eq!(s.next(1024), Scan::Partial);
         assert!(s.has_partial());
     }

@@ -54,7 +54,7 @@ impl Value {
     }
 
     /// The full field map of an object (the fleet scraper walks every
-    /// numeric field of a shard's `stats` reply); `None` on non-objects.
+    /// numeric field of a shard's `metrics` reply); `None` on non-objects.
     pub fn as_object(&self) -> Option<&BTreeMap<String, Value>> {
         match self {
             Value::Object(m) => Some(m),

@@ -9,10 +9,9 @@
 //! See `DESIGN.md` §10 for the architecture.
 //!
 //! Observability (DESIGN.md §11): every counter lives in a per-server
-//! `silentcert_obs` registry — the legacy `stats` verb and the
-//! `metrics` verb (JSON snapshot or Prometheus text exposition) read
-//! the same cells. Request handling emits `serve.*` spans through the
-//! global tracer.
+//! `silentcert_obs` registry, read through the `metrics` verb (JSON
+//! snapshot or Prometheus text exposition). Request handling emits
+//! `serve.*` spans through the global tracer.
 //!
 //! Linux only: the connection core and the load generator run on
 //! `epoll` ([`silentcert_net::epoll`]), and so does the cluster router

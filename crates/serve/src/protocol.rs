@@ -5,7 +5,7 @@
 //! ```text
 //! request   = "{" fields "}" LF
 //! fields    = op [, id] [, cert] [, chain]
-//! op        = "validate" | "classify" | "health" | "stats"
+//! op        = "validate" | "classify" | "health"
 //!           | "metrics" | "shutdown" | "chaos_panic"
 //!           | "chaos_kill_shard"                   ; cluster front only
 //!           | "add_shard" | "remove_shard"         ; cluster admin plane
@@ -20,9 +20,9 @@
 //! distinguishable from failure: `200` served, `400` malformed frame,
 //! `413` frame too large, `500` classification panic, `502` router
 //! refusal (no shard for the key / retry budget spent), `503` shed
-//! (breaker open or draining).
+//! (breaker open, draining, or the journal did not take the record).
 //!
-//! `health`, `stats`, and `metrics` are answered on the event loop
+//! `health` and `metrics` are answered on the event loop
 //! without passing admission, so they stay live while the breaker
 //! sheds classification load. `metrics` returns
 //! the full observability snapshot (DESIGN.md §11): as a JSON object by
@@ -55,7 +55,6 @@ pub enum Op {
     Validate,
     Classify,
     Health,
-    Stats,
     /// Full metrics snapshot (JSON or Prometheus exposition).
     Metrics,
     Shutdown,
@@ -97,7 +96,6 @@ impl Op {
             Op::Validate => "validate",
             Op::Classify => "classify",
             Op::Health => "health",
-            Op::Stats => "stats",
             Op::Metrics => "metrics",
             Op::Shutdown => "shutdown",
             Op::ChaosPanic => "chaos_panic",
@@ -157,7 +155,6 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
         Some("validate") => Op::Validate,
         Some("classify") => Op::Classify,
         Some("health") => Op::Health,
-        Some("stats") => Op::Stats,
         Some("metrics") => Op::Metrics,
         Some("shutdown") => Op::Shutdown,
         Some("chaos_panic") => Op::ChaosPanic,

@@ -24,13 +24,18 @@
 //!   loop that accepted it, and successive connects go round the idle
 //!   loops, so loops parallelise across connections, never within one.
 //! * **Circuit breaking**: error-rate / latency-SLO breaches shed
-//!   classification load at admission while `health` and `stats` stay
-//!   live. Cache hits are also served ahead of admission: they cost no
-//!   classification, so the breaker does not apply to them.
+//!   classification load at admission while `health` and `metrics`
+//!   stay live. Cache hits are also served ahead of admission: they cost
+//!   no classification, so the breaker does not apply to them.
 //! * **Panic isolation**: each classification runs under
 //!   `catch_unwind` (same discipline as `silentcert_core::par`). A panic
 //!   is journaled as [`PANIC_RESULT`], answered `500`, and the loop
 //!   keeps serving.
+//! * **Journaled or refused**: one journal append writes a request's
+//!   classification or panic record before its answer exists. A record
+//!   the file did not take is answered `503`, counted as
+//!   `shed_total{reason="journal"}`, never `200` or `500`, and makes the
+//!   drain unclean.
 //! * **Graceful drain**: shutdown closes the port, sheds new
 //!   classification work `503`, waits for in-flight classifications
 //!   under a drain deadline, flushes the request journal, and only then
@@ -48,6 +53,7 @@ use crate::protocol::{self, code, Op, Request};
 use silentcert_obs::metrics::{self, Counter, Histogram, Registry, Snapshot};
 use silentcert_obs::trace;
 use silentcert_validate::{Classification, Validator};
+use std::io;
 use std::net::TcpListener;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
@@ -89,10 +95,8 @@ pub struct ServeConfig {
     /// labels the health line and the metrics snapshot so a fleet
     /// scrape can tell shards apart.
     pub shard_id: u32,
-    /// Write every journal record through to the file before the
-    /// response is sent (see [`Journal::write_through`]): a SIGKILL
-    /// can then never produce a client-visible success without a
-    /// durable journal record. Costs one file write per request.
+    /// Unused: every journal writes through. Kept only because the
+    /// benchmark harness still sets it.
     pub journal_write_through: bool,
     /// Classification-cache capacity (entries). `0` disables it; it is
     /// also disabled automatically whenever the journal is enabled,
@@ -125,10 +129,8 @@ impl Default for ServeConfig {
     }
 }
 
-/// Monotonic counters exposed by `stats` and `metrics`. Every handle is
-/// a registration in the server's private [`Registry`] — the registry is
-/// the single store, so the legacy `stats` verb and the `metrics` verb
-/// read the same cells and can never disagree.
+/// Monotonic counters exposed by `metrics`. Every handle is a
+/// registration in the server's private [`Registry`], the single store.
 #[derive(Debug)]
 pub struct Stats {
     pub connections: Arc<Counter>,
@@ -140,7 +142,10 @@ pub struct Stats {
     pub slow_loris_closed: Arc<Counter>,
     pub shed_breaker: Arc<Counter>,
     pub shed_draining: Arc<Counter>,
-    /// Classifications that panicked (each answered `500`).
+    /// Requests refused `503` because their journal record did not
+    /// reach the file.
+    pub shed_journal: Arc<Counter>,
+    /// Classifications that panicked and were answered `500`.
     pub worker_panics: Arc<Counter>,
     /// Requests answered inline from the classification cache.
     pub cache_hits: Arc<Counter>,
@@ -165,6 +170,7 @@ impl Stats {
             slow_loris_closed: registry.counter("silentcert_serve_slow_loris_closed_total"),
             shed_breaker: shed("breaker"),
             shed_draining: shed("draining"),
+            shed_journal: shed("journal"),
             worker_panics: registry.counter("silentcert_serve_worker_panics_total"),
             cache_hits: registry.counter("silentcert_serve_cache_hits_total"),
             cache_misses: registry.counter("silentcert_serve_cache_misses_total"),
@@ -247,39 +253,6 @@ impl Shared {
                 ("workers_alive", self.workers_alive().to_string()),
             ],
         )
-    }
-
-    fn stats_line(&self, id: &str) -> String {
-        let workers_alive = self.workers_alive();
-        let b = self.breaker.lock().unwrap();
-        let s = &self.stats;
-        let fields = vec![
-            ("connections", s.connections.value().to_string()),
-            ("frames", s.frames.value().to_string()),
-            ("accepted", s.accepted.value().to_string()),
-            ("served_ok", s.served_ok.value().to_string()),
-            ("bad_frames", s.bad_frames.value().to_string()),
-            ("oversize_frames", s.oversize_frames.value().to_string()),
-            ("slow_loris_closed", s.slow_loris_closed.value().to_string()),
-            ("shed_breaker", s.shed_breaker.value().to_string()),
-            ("shed_draining", s.shed_draining.value().to_string()),
-            ("worker_panics", s.worker_panics.value().to_string()),
-            ("cache_hits", s.cache_hits.value().to_string()),
-            ("cache_misses", s.cache_misses.value().to_string()),
-            (
-                "queue_depth",
-                self.in_flight.load(Ordering::SeqCst).to_string(),
-            ),
-            ("breaker", protocol::js(b.state().as_str())),
-            ("breaker_trips", b.trips.to_string()),
-            ("workers_alive", workers_alive.to_string()),
-            (
-                "journal_entries",
-                self.journal.as_ref().map_or(0, Journal::len).to_string(),
-            ),
-            ("draining", self.draining.load(Ordering::SeqCst).to_string()),
-        ];
-        protocol::response_line(id, code::OK, &fields)
     }
 
     /// The full observability snapshot: every registry series plus the
@@ -454,12 +427,16 @@ impl Service for Shared {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DrainSummary {
     /// Every loop was alive when the drain began, in-flight
-    /// classifications finished within the drain deadline, and the
-    /// journal flush succeeded.
+    /// classifications finished within the drain deadline, the journal
+    /// flush succeeded, and no request was refused for its journal.
     pub clean: bool,
     pub served_ok: u64,
     pub worker_panics: u64,
+    /// Records in the journal file.
     pub journal_entries: usize,
+    /// Requests answered `503` because their record did not reach the
+    /// journal.
+    pub journal_refused: u64,
 }
 
 /// A running daemon.
@@ -483,12 +460,6 @@ impl ServerHandle {
     /// Whether a drain has been requested.
     pub fn is_draining(&self) -> bool {
         self.shared.draining.load(Ordering::SeqCst)
-    }
-
-    /// Live stats snapshot as a JSON line (same payload as the `stats`
-    /// op).
-    pub fn stats_json(&self) -> String {
-        self.shared.stats_line("")
     }
 
     /// Full metrics snapshot (same payload as the `metrics` op),
@@ -542,16 +513,19 @@ pub fn start_with_clock(
     validator: Arc<Validator>,
     clock: Arc<dyn Clock>,
 ) -> std::io::Result<ServerHandle> {
-    let listener = TcpListener::bind(&config.addr)?;
+    let listener = TcpListener::bind(&config.addr)
+        .map_err(|e| io::Error::new(e.kind(), format!("bind {}: {e}", config.addr)))?;
     let addr = listener.local_addr()?;
 
     let registry = Registry::new();
     let stats = Stats::register(&registry);
-    let journal = match &config.journal_path {
-        Some(path) if config.journal_write_through => Some(Journal::write_through(path.clone())?),
-        Some(path) => Some(Journal::new(path.clone())),
-        None => None,
-    };
+    let journal =
+        match &config.journal_path {
+            Some(path) => Some(Journal::write_through(path.clone()).map_err(|e| {
+                io::Error::new(e.kind(), format!("journal {}: {e}", path.display()))
+            })?),
+            None => None,
+        };
     // The cache trades away the journal's completeness guarantee, so the
     // journal wins when both are requested.
     let cache = if config.response_cache > 0 && journal.is_none() {
@@ -616,9 +590,6 @@ fn dispatch(req: Request, shared: &Shared, done: Completion, raw: Option<String>
         Op::Health => {
             done.fill(shared.health_line(&req.id));
         }
-        Op::Stats => {
-            done.fill(shared.stats_line(&req.id));
-        }
         Op::Metrics => {
             done.fill(shared.metrics_line(&req.id, req.format.as_deref()));
         }
@@ -679,8 +650,9 @@ fn dispatch(req: Request, shared: &Shared, done: Completion, raw: Option<String>
 }
 
 /// Admission control, then the classification itself, on the loop
-/// thread: returns the answer line. A journaled request is appended
-/// before its answer exists (journaled-or-refused).
+/// thread: returns the answer line. With a journal, the request's record
+/// reaches the file before its answer exists, or the request is refused
+/// (journaled-or-refused).
 fn submit(req: &Request, shared: &Shared, raw: Option<String>) -> String {
     let tracer = trace::tracer();
     let arrived = shared.now();
@@ -696,6 +668,17 @@ fn submit(req: &Request, shared: &Shared, raw: Option<String>) -> String {
     let admitted = shared.now();
     tracer.record_span("serve.admission", arrived, admitted.saturating_sub(arrived));
     let outcome = catch_unwind(AssertUnwindSafe(|| execute(req, shared)));
+    // The journal write is part of the request: it counts toward the
+    // latency the breaker sees, so a stalled disk shows there.
+    let journaled = shared.journal.as_ref().is_none_or(|journal| {
+        let result = match &outcome {
+            Ok(classification) => classification.to_string(),
+            Err(_) => PANIC_RESULT.to_string(),
+        };
+        journal
+            .append(req.op.as_str(), &req.der, &req.chain, &result)
+            .is_some()
+    });
     let finished = shared.now();
     tracer.record_span(
         "serve.validate",
@@ -704,9 +687,13 @@ fn submit(req: &Request, shared: &Shared, raw: Option<String>) -> String {
     );
     let latency = finished.saturating_sub(arrived);
     shared.stats.request_latency_ms.record(latency);
+    shared.record(outcome.is_ok(), latency);
+    if !journaled {
+        bump!(shared.stats, shed_journal);
+        return protocol::error_line(&req.id, code::SHED, "journal write failed");
+    }
     match outcome {
         Ok(outcome) => {
-            shared.record(true, latency);
             bump!(shared.stats, served_ok);
             let line = protocol::response_line(
                 &req.id,
@@ -722,12 +709,6 @@ fn submit(req: &Request, shared: &Shared, raw: Option<String>) -> String {
         }
         Err(_) => {
             bump!(shared.stats, worker_panics);
-            shared.record(false, latency);
-            // Journal the panic before answering: every 500 the client
-            // can observe maps to a durable panic record.
-            if let Some(journal) = &shared.journal {
-                journal.append(req.op.as_str(), &req.der, &req.chain, PANIC_RESULT);
-            }
             protocol::error_line(&req.id, code::PANIC, "classification panicked")
         }
     }
@@ -738,11 +719,7 @@ fn execute(req: &Request, shared: &Shared) -> Classification {
     if req.op == Op::ChaosPanic {
         panic!("injected chaos panic");
     }
-    let outcome = shared.validator.classify_der(&req.der, &req.chain);
-    if let Some(journal) = &shared.journal {
-        journal.append(req.op.as_str(), &req.der, &req.chain, &outcome.to_string());
-    }
-    outcome
+    shared.validator.classify_der(&req.der, &req.chain)
 }
 
 /// The supervisor: parks between journal flushes until a drain begins,
@@ -768,6 +745,7 @@ fn supervise(shared: &Shared) -> DrainSummary {
     }
     let settled = shared.in_flight.load(Ordering::SeqCst) == 0;
     let flushed = shared.journal.as_ref().is_none_or(|j| j.flush().is_ok());
+    let journal_refused = shared.stats.shed_journal.value();
     // Stop the loops last: every answer filled above still needs its
     // write-back flush.
     shared.loop_stop.store(true, Ordering::SeqCst);
@@ -775,9 +753,10 @@ fn supervise(shared: &Shared) -> DrainSummary {
         core.notifier().notify(WAKE);
     }
     DrainSummary {
-        clean: alive && settled && flushed,
+        clean: alive && settled && flushed && journal_refused == 0,
         served_ok: shared.stats.served_ok.value(),
         worker_panics: shared.stats.worker_panics.value(),
         journal_entries: shared.journal.as_ref().map_or(0, Journal::len),
+        journal_refused,
     }
 }

@@ -198,15 +198,18 @@ fn panic_one_request(addr: &str, reader: &mut BufReader<TcpStream>, w: &mut TcpS
     let mut resp = String::new();
     reader.read_line(&mut resp).expect("panic response");
     assert!(resp.contains("\"code\":500"), "unexpected: {resp}");
-    let mut stats_conn = TcpStream::connect(addr).expect("stats connect");
-    stats_conn
-        .write_all(b"{\"op\":\"stats\",\"id\":\"s\"}\n")
-        .expect("send stats");
-    let mut stats = String::new();
-    BufReader::new(&stats_conn)
-        .read_line(&mut stats)
-        .expect("stats response");
-    assert!(stats.contains("\"workers_alive\":1"), "loop died: {stats}");
+    let mut health_conn = TcpStream::connect(addr).expect("health connect");
+    health_conn
+        .write_all(b"{\"op\":\"health\",\"id\":\"h\"}\n")
+        .expect("send health");
+    let mut health = String::new();
+    BufReader::new(&health_conn)
+        .read_line(&mut health)
+        .expect("health response");
+    assert!(
+        health.contains("\"workers_alive\":1"),
+        "loop died: {health}"
+    );
 }
 
 #[test]

@@ -76,9 +76,9 @@ proptest! {
                     }
                 }
                 _ => {
-                    let trips_before = b.trips;
+                    let trips_before = b.transitions_to_open;
                     b.record(now, ok, latency_ms);
-                    if b.trips > trips_before {
+                    if b.transitions_to_open > trips_before {
                         prop_assert_eq!(b.state(), BreakerState::Open);
                         probe_at = now + cfg.open_cooldown_ms;
                     }

@@ -182,20 +182,21 @@ fn daemon_survives_chaos_and_drains_to_a_replayable_journal() {
     let resp = send_line(&addr, r#"{"op":"health","id":"h1"}"#).expect("health after chaos");
     assert!(resp.contains("\"code\":200"), "health after chaos: {resp}");
 
-    // Stats confirm isolation: the panics were counted and every loop
+    // Metrics confirm isolation: the panics were counted and every loop
     // is still running.
     let deadline = std::time::Instant::now() + Duration::from_secs(10);
     loop {
-        let stats = send_line(&addr, r#"{"op":"stats","id":"st"}"#).expect("stats");
-        let v = silentcert_serve::json::parse(stats.trim()).expect("stats parses");
+        let snap = silentcert_serve::fetch_metrics(&addr).expect("metrics");
+        let v = silentcert_serve::json::parse(&snap).expect("metrics parse");
         let get = |k: &str| v.get(k).and_then(|x| x.as_f64()).unwrap_or(-1.0);
-        assert!(get("worker_panics") >= 1.0, "panics recorded: {stats}");
-        if get("worker_panics") >= 1.0 && get("workers_alive") == 3.0 {
+        let panics = get("silentcert_serve_worker_panics_total");
+        assert!(panics >= 1.0, "panics recorded: {snap}");
+        if get("silentcert_serve_workers_alive") == 3.0 {
             break;
         }
         assert!(
             std::time::Instant::now() < deadline,
-            "a loop stopped serving: {stats}"
+            "a loop stopped serving: {snap}"
         );
         std::thread::sleep(Duration::from_millis(50));
     }
@@ -344,11 +345,11 @@ fn check_prometheus(text: &str) -> std::collections::BTreeMap<String, f64> {
     samples
 }
 
-/// The PR's observability acceptance check: a chaos run against a
-/// shedding daemon must yield a `metrics` verb whose Prometheus
-/// exposition parses and carries non-zero shed and latency series,
-/// whose JSON snapshot folds into the loadgen report, and whose cells
-/// agree with the legacy `stats` verb.
+/// Observability acceptance check: a chaos run against a shedding
+/// daemon must yield a `metrics` verb whose Prometheus exposition
+/// parses and carries non-zero shed and latency series, and whose JSON
+/// snapshot folds into the loadgen report; `metrics` is the only stats
+/// surface.
 #[test]
 fn chaos_loadgen_yields_parseable_prometheus_metrics() {
     let p = pki();
@@ -433,14 +434,9 @@ fn chaos_loadgen_yields_parseable_prometheus_metrics() {
     );
     assert!(samples.contains_key("silentcert_serve_queue_depth"));
 
-    // The legacy stats verb reads the same cells.
-    let stats = send_line(&addr, r#"{"op":"stats","id":"st"}"#).expect("stats");
-    let sv = silentcert_serve::json::parse(stats.trim()).expect("stats parses");
-    assert_eq!(
-        sv.get("served_ok").and_then(|x| x.as_f64()).unwrap(),
-        samples["silentcert_serve_served_ok_total"],
-        "stats and metrics disagree: {stats}"
-    );
+    // The retired `stats` verb is an unknown op like any other.
+    let stats = send_line(&addr, r#"{"op":"stats","id":"st"}"#).expect("answered");
+    assert!(stats.contains("\"code\":400"), "{stats}");
 
     handle.shutdown();
     let summary = handle.wait();
@@ -526,7 +522,6 @@ fn a_panic_stays_on_its_request() {
         workers: 2,
         enable_chaos_ops: true,
         journal_path: Some(journal_path.clone()),
-        journal_write_through: true,
         ..ServeConfig::default()
     };
     let handle = server::start(config, make_validator()).expect("bind");

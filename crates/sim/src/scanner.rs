@@ -30,9 +30,7 @@
 //! [`crate::export::export_corpus`]'s output byte-for-byte.
 
 use crate::config::{ConfigError, ScaleConfig};
-use crate::export::{
-    atomic_write, export_completeness, export_roots, export_tables_filtered, operator_label,
-};
+use crate::export::{export_completeness, export_roots, export_tables_filtered, operator_label};
 use crate::faults::{lottery, NetFaultPlan};
 use crate::world::{simulate_streaming, SimOutput};
 use rand::rngs::StdRng;
@@ -40,6 +38,7 @@ use rand::{Rng, SeedableRng};
 use silentcert_core::dataset::{ScanCompleteness, ScanId};
 use silentcert_crypto::hex;
 use silentcert_net::Ipv4;
+use silentcert_obs::atomic_write;
 use silentcert_x509::pem::pem_encode;
 use std::collections::HashSet;
 use std::fmt;

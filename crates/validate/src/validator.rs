@@ -55,6 +55,13 @@ mod obs {
 /// Maximum chain length (leaf to root inclusive) the builder explores.
 const MAX_CHAIN: usize = 8;
 
+/// Candidate edges one chain search may try, memo hits included. Parents
+/// that share a name can be tried along every simple path through them,
+/// and keys that verify every signature (RSA exponent 1) make that
+/// exponential in the parents presented; past this bound the search ends
+/// with no chain.
+const MAX_CHAIN_EDGES: usize = 256;
+
 /// Default cap on the verify memo. An entry is ~80 bytes, so the default
 /// bounds the memo at a few megabytes — enough to cover every chain edge
 /// of a full corpus run while keeping a long-lived daemon's memory flat.
@@ -213,7 +220,9 @@ impl Validator {
         // Chain search: depth-first over candidate parents.
         let mut visited = HashSet::new();
         visited.insert(cert.fingerprint());
-        if let Some((chain_len, transvalid)) = self.build_chain(cert, presented, &mut visited, 1) {
+        if let Some((chain_len, transvalid)) =
+            self.build_chain(cert, presented, &mut visited, &mut 0, 1)
+        {
             return Classification::Valid {
                 chain_len,
                 transvalid,
@@ -285,12 +294,14 @@ impl Validator {
     }
 
     /// Depth-first chain construction. Returns `(chain_len, transvalid)` on
-    /// reaching a trusted root.
+    /// reaching a trusted root. `edges` counts the candidate edges tried;
+    /// once it reaches [`MAX_CHAIN_EDGES`] the whole search returns `None`.
     fn build_chain(
         &self,
         cert: &Certificate,
         presented: &[Certificate],
         visited: &mut HashSet<Fingerprint>,
+        edges: &mut usize,
         depth: usize,
     ) -> Option<(u8, bool)> {
         if depth >= MAX_CHAIN {
@@ -298,7 +309,7 @@ impl Validator {
         }
         // Terminal: a trusted root signed this certificate.
         for root in self.trust.roots_named(&cert.issuer) {
-            if self.verify_cached(cert, &root.public_key) {
+            if self.try_edge(cert, &root.public_key, edges)? {
                 return Some((depth as u8 + 1, false));
             }
         }
@@ -311,8 +322,9 @@ impl Validator {
             if !visited.insert(parent.fingerprint()) {
                 continue;
             }
-            if self.verify_cached(cert, &parent.public_key) {
-                if let Some((len, trans)) = self.build_chain(parent, presented, visited, depth + 1)
+            if self.try_edge(cert, &parent.public_key, edges)? {
+                if let Some((len, trans)) =
+                    self.build_chain(parent, presented, visited, edges, depth + 1)
                 {
                     return Some((len, trans || from_pool));
                 }
@@ -320,6 +332,17 @@ impl Validator {
             visited.remove(&parent.fingerprint());
         }
         None
+    }
+
+    /// One candidate edge of the chain search, counted against
+    /// [`MAX_CHAIN_EDGES`]: whether `key` signed `cert`, or `None` once
+    /// the search has tried as many edges as it may.
+    fn try_edge(&self, cert: &Certificate, key: &PublicKey, edges: &mut usize) -> Option<bool> {
+        if *edges == MAX_CHAIN_EDGES {
+            return None;
+        }
+        *edges += 1;
+        Some(self.verify_cached(cert, key))
     }
 
     /// Candidate parents by issuer-name match: presented chain then pool.
@@ -356,6 +379,7 @@ mod tests {
     use super::*;
     use silentcert_asn1::Time;
     use silentcert_crypto::sig::{KeyPair, SimKeyPair};
+    use silentcert_crypto::{BigUint, RsaKeyPair};
     use silentcert_x509::CertificateBuilder;
 
     fn key(seed: &str) -> KeyPair {
@@ -794,5 +818,72 @@ mod tests {
             v.classify(&c1, &[]),
             Classification::Invalid(InvalidityReason::UntrustedIssuer)
         );
+    }
+
+    /// An RSA-1024 key of exponent 1: its signature over anything is the
+    /// padded digest itself, which every such key verifies.
+    fn exponent_one_key(k: u8) -> KeyPair {
+        let mut n = [0u8; 128];
+        n[0] = 0xc0;
+        n[127] = 2 * k + 1;
+        let one = BigUint::from_u64(1);
+        KeyPair::Rsa(RsaKeyPair::from_parts(
+            BigUint::from_bytes_be(&n),
+            one.clone(),
+            one,
+        ))
+    }
+
+    /// A leaf and `parents` same-name CAs with exponent-1 keys: every CA
+    /// is a verifying candidate issuer of the leaf and of every other CA.
+    fn exponent_one_mesh(parents: u8) -> (Certificate, Vec<Certificate>) {
+        let name = Name::with_common_name("Mesh CA");
+        let (nb, na) = years(2000, 2040);
+        let cas = (0..parents)
+            .map(|k| {
+                let ca_key = exponent_one_key(k);
+                CertificateBuilder::new()
+                    .serial_u64(100 + u64::from(k))
+                    .subject(name.clone())
+                    .issuer(name.clone())
+                    .public_key(ca_key.public())
+                    .validity(nb, na)
+                    .ca(None)
+                    .sign_with(&ca_key)
+            })
+            .collect();
+        let leaf = CertificateBuilder::new()
+            .serial_u64(1)
+            .subject(Name::with_common_name("mesh.example"))
+            .issuer(name)
+            .public_key(key("mesh.example").public())
+            .validity(nb, na)
+            .sign_with(&exponent_one_key(0));
+        (leaf, cas)
+    }
+
+    #[test]
+    fn chain_search_through_a_parent_mesh_is_bounded() {
+        let v = Validator::new(TrustStore::from_roots([pki().root]));
+        let (leaf, four) = exponent_one_mesh(4);
+        let (_, sixteen) = exponent_one_mesh(16);
+        let verdict = v.classify(&leaf, &four);
+        assert_eq!(
+            verdict,
+            Classification::Invalid(InvalidityReason::UntrustedIssuer)
+        );
+        assert_eq!(v.classify(&leaf, &sixteen), verdict);
+
+        let edges_tried = |presented: &[Certificate]| {
+            let mut visited = HashSet::from([leaf.fingerprint()]);
+            let mut edges = 0;
+            let chain = v.build_chain(&leaf, presented, &mut visited, &mut edges, 1);
+            assert_eq!(chain, None);
+            edges
+        };
+        // Four parents: all 64 simple paths fit in the bound.
+        assert_eq!(edges_tried(&four), 4 + 4 * 3 + 4 * 3 * 2 + 4 * 3 * 2);
+        // Sixteen: about 10^8 simple paths, cut off at the bound.
+        assert_eq!(edges_tried(&sixteen), MAX_CHAIN_EDGES);
     }
 }
