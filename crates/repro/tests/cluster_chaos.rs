@@ -140,6 +140,8 @@ fn chaos_kill_mid_run_loses_nothing() {
 /// fleet still drains clean.
 #[test]
 fn open_loop_fan_in_survives_shard_kill() {
+    let journal_dir =
+        std::env::temp_dir().join(format!("silentcert-fan-in-{}", std::process::id()));
     let mut cluster = repro()
         .args([
             "cluster",
@@ -150,7 +152,9 @@ fn open_loop_fan_in_survives_shard_kill() {
             "--chaos-ops",
             "--backoff-ms",
             "50",
+            "--journal-dir",
         ])
+        .arg(&journal_dir)
         .stdout(Stdio::piped())
         .stderr(Stdio::null())
         .spawn()
@@ -223,4 +227,6 @@ fn open_loop_fan_in_survives_shard_kill() {
         num(&summary, "restarts") >= 1.0,
         "killed shard must restart: {summary:?}"
     );
+
+    let _ = std::fs::remove_dir_all(&journal_dir);
 }

@@ -26,10 +26,14 @@ pub enum Scan {
 
 /// Buffered bytes awaiting frame boundaries, with a scan cursor so
 /// repeated [`FrameScanner::next`] calls on a growing partial frame
-/// don't rescan from the start.
+/// don't rescan from the start. Delivered frames stay in the buffer
+/// until the next [`FrameScanner::push`] drops them all at once, so a
+/// pipelined batch is moved once, not once per frame.
 #[derive(Debug, Default)]
 pub struct FrameScanner {
     buf: Vec<u8>,
+    /// Bytes before this offset were delivered as frames.
+    start: usize,
     /// Bytes before this offset are known newline-free.
     scanned: usize,
 }
@@ -41,6 +45,9 @@ impl FrameScanner {
 
     /// Append transport bytes.
     pub fn push(&mut self, bytes: &[u8]) {
+        self.buf.drain(..self.start);
+        self.scanned -= self.start;
+        self.start = 0;
         self.buf.extend_from_slice(bytes);
     }
 
@@ -49,18 +56,20 @@ impl FrameScanner {
     /// like the blocking reader did).
     pub fn next(&mut self, max: usize) -> Scan {
         if let Some(rel) = self.buf[self.scanned..].iter().position(|&b| b == b'\n') {
-            let pos = self.scanned + rel;
-            let line: Vec<u8> = self.buf.drain(..=pos).collect();
-            self.scanned = 0;
-            let line = &line[..line.len() - 1];
+            let end = self.scanned + rel;
+            let line = &self.buf[self.start..end];
             let line = line.strip_suffix(b"\r").unwrap_or(line);
-            return match std::str::from_utf8(line) {
-                Ok(s) => Scan::Frame(s.to_string()),
-                Err(_) => Scan::Frame("\u{fffd}".to_string()),
+            // `to_owned` copies the frame once, into an exact-size string.
+            let frame = match std::str::from_utf8(line) {
+                Ok(s) => s.to_owned(),
+                Err(_) => "\u{fffd}".to_owned(),
             };
+            self.start = end + 1;
+            self.scanned = self.start;
+            return Scan::Frame(frame);
         }
         self.scanned = self.buf.len();
-        if self.buf.len() > max {
+        if self.buffered() > max {
             return Scan::TooLarge;
         }
         Scan::Partial
@@ -70,18 +79,20 @@ impl FrameScanner {
     /// frame delivered). Distinguishes slow-loris (cut the peer) from
     /// idle-between-frames (keep waiting).
     pub fn has_partial(&self) -> bool {
-        !self.buf.is_empty()
+        self.buffered() > 0
     }
 
-    /// Buffered byte count (diagnostics only).
+    /// Bytes buffered and not yet delivered as a frame.
     pub fn buffered(&self) -> usize {
-        self.buf.len()
+        self.buf.len() - self.start
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::collection::vec;
+    use proptest::prelude::*;
 
     #[test]
     fn frames_split_and_coalesce() {
@@ -126,5 +137,78 @@ mod tests {
         s.push(&[b'x'; 32]);
         assert_eq!(s.next(16), Scan::Frame("ok".to_string()));
         assert_eq!(s.next(16), Scan::TooLarge);
+    }
+
+    /// The frame-size cap of the interleaving proptest; every generated
+    /// frame is shorter, only the oversize tail is longer.
+    const CAP: usize = 32;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Any split of a frame stream yields the frames of the whole
+        /// stream split on `\n`: CRLF and empty lines, invalid UTF-8
+        /// and an oversize tail included.
+        #[test]
+        fn any_split_yields_the_frames_of_the_whole_stream(
+            lines in vec(("[ -~é]{0,12}", any::<bool>(), any::<bool>()), 0..8),
+            tail in (0u8..3, 1usize..CAP),
+            cuts in vec(any::<usize>(), 0..10),
+        ) {
+            let mut stream = Vec::new();
+            for (text, invalid, crlf) in &lines {
+                stream.extend_from_slice(text.as_bytes());
+                if *invalid {
+                    stream.push(0xff);
+                }
+                stream.extend_from_slice(if *crlf { b"\r\n" } else { b"\n" });
+            }
+            // No tail, a partial frame, or one that outgrows the cap.
+            let tail = match tail {
+                (0, _) => Vec::new(),
+                (1, n) => vec![b'p'; n],
+                (_, n) => vec![b'x'; CAP + n],
+            };
+            stream.extend_from_slice(&tail);
+            let mut frames: Vec<String> = stream
+                .split(|&b| b == b'\n')
+                .map(|line| {
+                    let line = line.strip_suffix(b"\r").unwrap_or(line);
+                    String::from_utf8(line.to_vec()).unwrap_or_else(|_| "\u{fffd}".to_string())
+                })
+                .collect();
+            frames.pop(); // the tail, which no newline ends
+
+            let mut cuts: Vec<usize> = cuts.iter().map(|c| c % (stream.len() + 1)).collect();
+            cuts.push(stream.len());
+            cuts.sort_unstable();
+            let mut s = FrameScanner::new();
+            let mut got = Vec::new();
+            let mut too_large = false;
+            let mut from = 0;
+            for cut in cuts {
+                s.push(&stream[from..cut]);
+                from = cut;
+                loop {
+                    match s.next(CAP) {
+                        Scan::Frame(f) => got.push(f),
+                        Scan::Partial => break,
+                        Scan::TooLarge => {
+                            too_large = true;
+                            break;
+                        }
+                    }
+                }
+                if too_large {
+                    break;
+                }
+            }
+            prop_assert_eq!(got, frames);
+            prop_assert_eq!(too_large, tail.len() > CAP);
+            if !too_large {
+                prop_assert_eq!(s.buffered(), tail.len());
+                prop_assert_eq!(s.has_partial(), !tail.is_empty());
+            }
+        }
     }
 }

@@ -126,10 +126,7 @@ impl std::error::Error for ParseError {}
 
 /// Parse one complete JSON value; trailing non-whitespace is an error.
 pub fn parse(text: &str) -> Result<Value, ParseError> {
-    let mut p = Parser {
-        bytes: text.as_bytes(),
-        pos: 0,
-    };
+    let mut p = Parser::new(text);
     p.skip_ws();
     let v = p.value(0)?;
     p.skip_ws();
@@ -139,12 +136,31 @@ pub fn parse(text: &str) -> Result<Value, ParseError> {
     Ok(v)
 }
 
+/// Length of the plain run at the head of `bytes`: the bytes before the
+/// first `"`, `\` or control byte, or all of them. The string reader
+/// and [`crate::protocol::fast_scan`] share this one scan.
+pub(crate) fn plain_run(bytes: &[u8]) -> usize {
+    bytes
+        .iter()
+        .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
+        .unwrap_or(bytes.len())
+}
+
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
 
 impl<'a> Parser<'a> {
+    fn new(text: &'a str) -> Parser<'a> {
+        Parser {
+            text,
+            bytes: text.as_bytes(),
+            pos: 0,
+        }
+    }
+
     fn err(&self, reason: &'static str) -> ParseError {
         ParseError {
             offset: self.pos,
@@ -251,6 +267,11 @@ impl<'a> Parser<'a> {
         self.expect(b'"', "expected '\"'")?;
         let mut out = String::new();
         loop {
+            // One copy per plain run; its ends are ASCII, so the slice
+            // falls on char boundaries.
+            let start = self.pos;
+            self.pos += plain_run(&self.bytes[start..]);
+            out.push_str(&self.text[start..self.pos]);
             match self.peek() {
                 None => return Err(self.err("unterminated string")),
                 Some(b'"') => {
@@ -296,18 +317,7 @@ impl<'a> Parser<'a> {
                         _ => return Err(self.err("bad escape")),
                     }
                 }
-                Some(c) if c < 0x20 => return Err(self.err("control char in string")),
-                Some(_) => {
-                    // Copy one whole UTF-8 scalar (input is a &str, so
-                    // boundaries are valid).
-                    let start = self.pos;
-                    let mut end = start + 1;
-                    while end < self.bytes.len() && (self.bytes[end] & 0xc0) == 0x80 {
-                        end += 1;
-                    }
-                    out.push_str(std::str::from_utf8(&self.bytes[start..end]).unwrap());
-                    self.pos = end;
-                }
+                Some(_) => return Err(self.err("control char in string")),
             }
         }
     }
@@ -413,5 +423,165 @@ mod tests {
         let v = parse(text).unwrap();
         assert_eq!(v.render(), text);
         assert_eq!(parse(&v.render()).unwrap(), v);
+    }
+
+    /// The string reader before it copied plain runs whole: one UTF-8
+    /// scalar at a time, kept as the reference the run-copying reader
+    /// must agree with.
+    impl Parser<'_> {
+        fn reference_string(&mut self) -> Result<String, ParseError> {
+            self.expect(b'"', "expected '\"'")?;
+            let mut out = String::new();
+            loop {
+                match self.peek() {
+                    None => return Err(self.err("unterminated string")),
+                    Some(b'"') => {
+                        self.pos += 1;
+                        return Ok(out);
+                    }
+                    Some(b'\\') => {
+                        self.pos += 1;
+                        let esc = self.peek().ok_or_else(|| self.err("bad escape"))?;
+                        self.pos += 1;
+                        match esc {
+                            b'"' => out.push('"'),
+                            b'\\' => out.push('\\'),
+                            b'/' => out.push('/'),
+                            b'b' => out.push('\u{0008}'),
+                            b'f' => out.push('\u{000c}'),
+                            b'n' => out.push('\n'),
+                            b'r' => out.push('\r'),
+                            b't' => out.push('\t'),
+                            b'u' => {
+                                let hi = self.hex4()?;
+                                let c = if (0xd800..0xdc00).contains(&hi) {
+                                    // Surrogate pair: require the low half.
+                                    if self.peek() == Some(b'\\') {
+                                        self.pos += 1;
+                                        self.expect(b'u', "expected low surrogate")?;
+                                        let lo = self.hex4()?;
+                                        if !(0xdc00..0xe000).contains(&lo) {
+                                            return Err(self.err("bad low surrogate"));
+                                        }
+                                        let cp = 0x10000 + ((hi - 0xd800) << 10) + (lo - 0xdc00);
+                                        char::from_u32(cp)
+                                    } else {
+                                        return Err(self.err("lone surrogate"));
+                                    }
+                                } else if (0xdc00..0xe000).contains(&hi) {
+                                    return Err(self.err("lone surrogate"));
+                                } else {
+                                    char::from_u32(hi)
+                                };
+                                out.push(c.ok_or_else(|| self.err("bad codepoint"))?);
+                            }
+                            _ => return Err(self.err("bad escape")),
+                        }
+                    }
+                    Some(c) if c < 0x20 => return Err(self.err("control char in string")),
+                    Some(_) => {
+                        // Copy one whole UTF-8 scalar (input is a &str, so
+                        // boundaries are valid).
+                        let start = self.pos;
+                        let mut end = start + 1;
+                        while end < self.bytes.len() && (self.bytes[end] & 0xc0) == 0x80 {
+                            end += 1;
+                        }
+                        out.push_str(std::str::from_utf8(&self.bytes[start..end]).unwrap());
+                        self.pos = end;
+                    }
+                }
+            }
+        }
+    }
+
+    use proptest::prelude::*;
+
+    /// Strings mixing ASCII runs (quotes and backslashes included),
+    /// control characters and multi-byte UTF-8.
+    fn text() -> impl Strategy<Value = String> {
+        proptest::collection::vec(
+            prop_oneof!["[ -~]{1,48}", "[\u{0}-\u{1f}]{1,2}", "[é中😀\u{7f}]{1,3}"],
+            0..6,
+        )
+        .prop_map(|parts| parts.concat())
+    }
+
+    fn leaf() -> impl Strategy<Value = Value> {
+        prop_oneof![
+            text().prop_map(Value::String),
+            (-1_000_000i64..1_000_000).prop_map(|n| Value::Number(n as f64 / 8.0)),
+            any::<bool>().prop_map(Value::Bool),
+            Just(Value::Null),
+        ]
+    }
+
+    fn value() -> impl Strategy<Value = Value> {
+        prop_oneof![
+            leaf(),
+            proptest::collection::vec(leaf(), 0..4).prop_map(Value::Array),
+            proptest::collection::vec((text(), proptest::collection::vec(leaf(), 0..3)), 0..4)
+                .prop_map(|fields| Value::Object(
+                    fields
+                        .into_iter()
+                        .map(|(k, items)| (k, Value::Array(items)))
+                        .collect()
+                )),
+        ]
+    }
+
+    /// String literal bodies as a client might send them: plain runs,
+    /// every escape (good, bad, truncated and surrogate halves), raw
+    /// control bytes, multi-byte UTF-8 and stray quotes.
+    fn literal() -> impl Strategy<Value = String> {
+        let escape = prop_oneof![
+            Just("\\\""),
+            Just("\\\\"),
+            Just("\\/"),
+            Just("\\b\\f\\n\\r\\t"),
+            Just("\\u00e9"),
+            Just("\\u4E2d"),
+            Just("\\ud83d\\ude00"),
+            Just("\\ud83d"),
+            Just("\\ud83dx"),
+            Just("\\ud83d\\u0041"),
+            Just("\\ude00"),
+            Just("\\u12g4"),
+            Just("\\x"),
+            Just("\\"),
+        ];
+        proptest::collection::vec(
+            prop_oneof![
+                "[ !#-[]{1,48}",
+                "[^-~]{1,48}",
+                escape.prop_map(str::to_string),
+                "[\u{0}-\u{1f}]",
+                "[é中😀]{1,2}",
+                Just("\"".to_string()),
+            ],
+            0..8,
+        )
+        .prop_map(|parts| format!("\"{}", parts.concat()))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn rendered_values_parse_back(v in value()) {
+            prop_assert_eq!(parse(&v.render()), Ok(v));
+        }
+
+        #[test]
+        fn run_copying_reader_matches_the_per_char_reader(text in literal()) {
+            let mut runs = Parser::new(&text);
+            let mut chars = Parser::new(&text);
+            prop_assert_eq!(
+                (runs.string(), runs.pos),
+                (chars.reference_string(), chars.pos),
+                "{:?}",
+                text
+            );
+        }
     }
 }

@@ -294,21 +294,16 @@ pub fn fast_scan(line: &str) -> Option<FastFrame<'_>> {
             false
         }
     };
-    // A plain JSON string body: no escapes, no control bytes, no quotes.
+    // A plain JSON string body closed by its quote: no escapes, no
+    // control bytes. Its ends are ASCII, so `line` slices there.
     let plain = |pos: &mut usize| -> Option<&str> {
         let start = *pos;
-        while *pos < b.len() {
-            match b[*pos] {
-                b'"' => {
-                    let s = std::str::from_utf8(&b[start..*pos]).ok()?;
-                    *pos += 1;
-                    return Some(s);
-                }
-                b'\\' | 0x00..=0x1f => return None,
-                _ => *pos += 1,
-            }
+        let end = start + json::plain_run(&b[start..]);
+        if b.get(end) != Some(&b'"') {
+            return None;
         }
-        None
+        *pos = end + 1;
+        Some(&line[start..end])
     };
 
     if !lit(&mut pos, b"{\"op\":\"") {

@@ -49,9 +49,8 @@ use crate::cache::ResponseCache;
 use crate::clock::{Clock, SystemClock};
 use crate::event_loop::{Completion, CoreConfig, EventCore, LoopStats, Service, Token, WAKE};
 use crate::journal::{Journal, PANIC_RESULT};
-use crate::protocol::{self, code, Op, Request};
+use crate::protocol::{self, code, FastFrame, Op, Request};
 use silentcert_obs::metrics::{self, Counter, Histogram, Registry, Snapshot};
-use silentcert_obs::trace;
 use silentcert_validate::{Classification, Validator};
 use std::io;
 use std::net::TcpListener;
@@ -347,50 +346,53 @@ impl Shared {
         }
     }
 
-    /// Try to answer a canonical classification frame straight from the
-    /// cache (no parse, no decode, no classification).
-    fn try_cache_hit(&self, line: &str, done: &Completion) -> Option<Option<String>> {
-        let cache = self.cache.as_ref()?;
-        if self.draining.load(Ordering::SeqCst) {
-            return None; // drain sheds classification load uniformly
-        }
-        let fast = protocol::fast_scan(line)?;
-        match cache.lookup(fast.op, fast.cert, &fast.chain) {
-            Some(outcome) => {
-                bump!(self.stats, cache_hits);
-                bump!(self.stats, served_ok);
-                self.record(true, 0);
-                self.stats.request_latency_ms.record(0);
-                done.fill(protocol::response_line(
-                    fast.id,
-                    code::OK,
-                    &protocol::classification_fields(fast.op, &outcome),
-                ));
-                Some(None)
-            }
-            None => {
-                bump!(self.stats, cache_misses);
-                // Remember the key so the classification can be cached.
-                Some(Some(line.to_string()))
-            }
-        }
+    /// Answer a canonical classification frame straight from the cache
+    /// (no parse, no decode, no classification). False on a miss.
+    fn answer_from_cache(
+        &self,
+        cache: &ResponseCache,
+        fast: &FastFrame,
+        done: &Completion,
+    ) -> bool {
+        let Some(outcome) = cache.lookup(fast.op, fast.cert, &fast.chain) else {
+            bump!(self.stats, cache_misses);
+            return false;
+        };
+        bump!(self.stats, cache_hits);
+        bump!(self.stats, served_ok);
+        self.record(true, 0);
+        self.stats.request_latency_ms.record(0);
+        done.fill(protocol::response_line(
+            fast.id,
+            code::OK,
+            &protocol::classification_fields(fast.op, &outcome),
+        ));
+        true
     }
 }
 
 impl Service for Shared {
     fn on_frame(&self, line: String, done: Completion) {
         bump!(self.stats, frames);
-        let raw = match self.try_cache_hit(&line, &done) {
-            Some(None) => return, // answered inline from the cache
-            Some(raw) => raw,
-            None => None,
+        // The cache key of a canonical classification frame; a drain
+        // sheds classification load uniformly, cache hits included.
+        let key = match &self.cache {
+            Some(cache) if !self.draining.load(Ordering::SeqCst) => {
+                protocol::fast_scan(&line).map(|fast| (cache, fast))
+            }
+            _ => None,
         };
+        if let Some((cache, fast)) = &key {
+            if self.answer_from_cache(cache, fast, &done) {
+                return;
+            }
+        }
         match protocol::parse_request(&line) {
             Err(why) => {
                 bump!(self.stats, bad_frames);
                 done.fill(protocol::error_line("", code::BAD_REQUEST, &why));
             }
-            Ok(req) => dispatch(req, self, done, raw),
+            Ok(req) => dispatch(req, self, done, key.map(|(_, fast)| fast)),
         }
     }
 
@@ -585,7 +587,7 @@ pub fn start_with_clock(
 
 /// Handle one parsed request on the event-loop thread: every op is
 /// answered before the loop moves on.
-fn dispatch(req: Request, shared: &Shared, done: Completion, raw: Option<String>) {
+fn dispatch(req: Request, shared: &Shared, done: Completion, key: Option<FastFrame>) {
     match req.op {
         Op::Health => {
             done.fill(shared.health_line(&req.id));
@@ -642,7 +644,7 @@ fn dispatch(req: Request, shared: &Shared, done: Completion, raw: Option<String>
             // Counted in flight before `submit` reads `draining` (see
             // `Shared::in_flight`).
             shared.in_flight.fetch_add(1, Ordering::SeqCst);
-            let line = submit(&req, shared, raw);
+            let line = submit(&req, shared, key);
             shared.in_flight.fetch_sub(1, Ordering::SeqCst);
             done.fill(line);
         }
@@ -652,9 +654,9 @@ fn dispatch(req: Request, shared: &Shared, done: Completion, raw: Option<String>
 /// Admission control, then the classification itself, on the loop
 /// thread: returns the answer line. With a journal, the request's record
 /// reaches the file before its answer exists, or the request is refused
-/// (journaled-or-refused).
-fn submit(req: &Request, shared: &Shared, raw: Option<String>) -> String {
-    let tracer = trace::tracer();
+/// (journaled-or-refused). A request's only timing record is
+/// `request_latency_ms`.
+fn submit(req: &Request, shared: &Shared, key: Option<FastFrame>) -> String {
     let arrived = shared.now();
     if shared.draining.load(Ordering::SeqCst) {
         bump!(shared.stats, shed_draining);
@@ -665,8 +667,6 @@ fn submit(req: &Request, shared: &Shared, raw: Option<String>) -> String {
         return protocol::error_line(&req.id, code::SHED, "circuit open");
     }
     bump!(shared.stats, accepted);
-    let admitted = shared.now();
-    tracer.record_span("serve.admission", arrived, admitted.saturating_sub(arrived));
     let outcome = catch_unwind(AssertUnwindSafe(|| execute(req, shared)));
     // The journal write is part of the request: it counts toward the
     // latency the breaker sees, so a stalled disk shows there.
@@ -679,13 +679,7 @@ fn submit(req: &Request, shared: &Shared, raw: Option<String>) -> String {
             .append(req.op.as_str(), &req.der, &req.chain, &result)
             .is_some()
     });
-    let finished = shared.now();
-    tracer.record_span(
-        "serve.validate",
-        admitted,
-        finished.saturating_sub(admitted),
-    );
-    let latency = finished.saturating_sub(arrived);
+    let latency = shared.now().saturating_sub(arrived);
     shared.stats.request_latency_ms.record(latency);
     shared.record(outcome.is_ok(), latency);
     if !journaled {
@@ -700,9 +694,7 @@ fn submit(req: &Request, shared: &Shared, raw: Option<String>) -> String {
                 code::OK,
                 &protocol::classification_fields(req.op, &outcome),
             );
-            if let (Some(cache), Some(fast)) =
-                (&shared.cache, raw.as_deref().and_then(protocol::fast_scan))
-            {
+            if let (Some(cache), Some(fast)) = (&shared.cache, key) {
                 cache.insert(fast.op, fast.cert, &fast.chain, outcome);
             }
             line

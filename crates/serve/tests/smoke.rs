@@ -11,6 +11,7 @@
 
 use silentcert_crypto::hex::encode as hex;
 use silentcert_crypto::sig::{KeyPair, SimKeyPair};
+use silentcert_obs::trace::Record;
 use silentcert_serve::loadgen::{self, ClientFaultPlan, LoadgenOptions};
 use silentcert_serve::{journal, server, BreakerConfig, ServeConfig, PANIC_RESULT};
 use silentcert_validate::{TrustStore, Validator};
@@ -584,4 +585,57 @@ fn a_panic_stays_on_its_request() {
     let replayed = journal::replay(&journal_path, &make_validator()).expect("journal replays");
     assert_eq!(replayed.mismatches, 0, "replay must be byte-identical");
     let _ = std::fs::remove_file(&journal_path);
+}
+
+/// A classified request records nothing in the process-wide trace ring:
+/// its one timing record is `silentcert_serve_request_latency_ms`, so a
+/// loop takes no tracer lock and allocates no span on the request path.
+#[test]
+fn classified_requests_leave_no_spans_in_the_process_tracer() {
+    let p = pki();
+    let mut validator = Validator::new(TrustStore::from_roots([p.root.clone()]));
+    validator.add_intermediate(&p.intermediate);
+    let config = ServeConfig {
+        workers: 1,
+        // Every request is classified, none answered from the cache.
+        response_cache: 0,
+        ..ServeConfig::default()
+    };
+    let handle = server::start(config, Arc::new(validator)).expect("bind");
+    let requests = request_mix(&p, false);
+    let mut stream = TcpStream::connect(handle.addr()).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("read timeout");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+    for line in requests.iter().cycle().take(200) {
+        stream
+            .write_all(format!("{line}\n").as_bytes())
+            .expect("send");
+        let mut answer = String::new();
+        reader.read_line(&mut answer).expect("answer");
+        assert!(answer.contains("\"code\":200"), "{answer}");
+    }
+    handle.shutdown();
+    let summary = handle.wait();
+    assert_eq!(summary.served_ok, 200, "{summary:?}");
+
+    let spans: Vec<_> = silentcert_obs::trace::tracer()
+        .drain()
+        .into_iter()
+        .filter(|r| match r {
+            Record::Span { name, thread, .. } => {
+                name == "serve.admission"
+                    || name == "serve.validate"
+                    || thread == "serve-event-loop"
+            }
+            Record::Log { .. } => false,
+        })
+        .collect();
+    assert!(
+        spans.is_empty(),
+        "{} request spans in the tracer, first {:?}",
+        spans.len(),
+        spans.first()
+    );
 }

@@ -106,7 +106,7 @@ pub struct Validator {
     intermediates: HashMap<Name, Vec<Certificate>>,
     /// Fingerprints already pooled (dedup).
     pooled: HashSet<Fingerprint>,
-    /// `(issuer key fingerprint, cert fingerprint) → verified?` memo, so
+    /// `(parent cert fingerprint, cert fingerprint) → verified?` memo, so
     /// repeated chain walks never re-run an RSA verification for an edge
     /// they have already tested. Interior mutability keeps `classify`
     /// `&self` (and the validator shareable across classification
@@ -114,7 +114,7 @@ pub struct Validator {
     /// changes results, only speed. Bounded with clock eviction so a
     /// long-lived daemon's memory stays flat under an endless stream of
     /// distinct certificates.
-    verify_memo: ClockMap<([u8; 32], Fingerprint), bool>,
+    verify_memo: ClockMap<(Fingerprint, Fingerprint), bool>,
 }
 
 impl Default for Validator {
@@ -151,16 +151,19 @@ impl Validator {
         self.verify_memo.evictions()
     }
 
-    /// Signature check with the fingerprint-keyed memo.
+    /// Whether `parent`'s key signed `cert`, through the fingerprint-keyed
+    /// memo. The parent certificate's fingerprint names its key, and
+    /// hashing its DER costs less than re-encoding the key's SPKI.
     ///
     /// Only RSA parents are memoized: the hash-based sim scheme verifies in
     /// about the time it takes to key the map, so caching it would be pure
     /// overhead.
-    fn verify_cached(&self, cert: &Certificate, parent_key: &PublicKey) -> bool {
+    fn verify_cached(&self, cert: &Certificate, parent: &Certificate) -> bool {
+        let parent_key = &parent.public_key;
         if !matches!(parent_key, PublicKey::Rsa(_)) {
             return cert.verify_signed_by(parent_key).is_ok();
         }
-        let key = (parent_key.fingerprint(), cert.fingerprint());
+        let key = (parent.fingerprint(), cert.fingerprint());
         if let Some(hit) = self.verify_memo.get(&key) {
             obs::memo_hits().inc();
             return hit;
@@ -232,7 +235,7 @@ impl Validator {
         // No trusted chain. Reproduce the paper's invalidity breakdown:
         // error 19 / manual self-signature check first, then untrusted
         // issuer, then signature errors.
-        if self.verify_cached(cert, &cert.public_key) {
+        if self.verify_cached(cert, cert) {
             return Classification::Invalid(InvalidityReason::SelfSigned);
         }
         // If *some* candidate issuer key verifies the signature the chain
@@ -247,7 +250,7 @@ impl Validator {
             .chain(trusted_candidates)
         {
             saw_candidate = true;
-            if self.verify_cached(cert, &parent.public_key) {
+            if self.verify_cached(cert, parent) {
                 return Classification::Invalid(InvalidityReason::UntrustedIssuer);
             }
         }
@@ -309,7 +312,7 @@ impl Validator {
         }
         // Terminal: a trusted root signed this certificate.
         for root in self.trust.roots_named(&cert.issuer) {
-            if self.try_edge(cert, &root.public_key, edges)? {
+            if self.try_edge(cert, root, edges)? {
                 return Some((depth as u8 + 1, false));
             }
         }
@@ -322,7 +325,7 @@ impl Validator {
             if !visited.insert(parent.fingerprint()) {
                 continue;
             }
-            if self.try_edge(cert, &parent.public_key, edges)? {
+            if self.try_edge(cert, parent, edges)? {
                 if let Some((len, trans)) =
                     self.build_chain(parent, presented, visited, edges, depth + 1)
                 {
@@ -335,14 +338,19 @@ impl Validator {
     }
 
     /// One candidate edge of the chain search, counted against
-    /// [`MAX_CHAIN_EDGES`]: whether `key` signed `cert`, or `None` once
+    /// [`MAX_CHAIN_EDGES`]: whether `parent` signed `cert`, or `None` once
     /// the search has tried as many edges as it may.
-    fn try_edge(&self, cert: &Certificate, key: &PublicKey, edges: &mut usize) -> Option<bool> {
+    fn try_edge(
+        &self,
+        cert: &Certificate,
+        parent: &Certificate,
+        edges: &mut usize,
+    ) -> Option<bool> {
         if *edges == MAX_CHAIN_EDGES {
             return None;
         }
         *edges += 1;
-        Some(self.verify_cached(cert, key))
+        Some(self.verify_cached(cert, parent))
     }
 
     /// Candidate parents by issuer-name match: presented chain then pool.
