@@ -1,8 +1,11 @@
 //! Headline dataset statistics (§4) and per-scan counts (Fig. 2).
 
-use crate::dataset::{Dataset, Operator, ScanCompleteness, ScanId};
+use crate::dataset::{Dataset, Observation, Operator, ScanCompleteness, ScanId};
+use silentcert_net::Ipv4;
 use silentcert_validate::InvalidityReason;
-use std::collections::HashSet;
+use std::cmp::Reverse;
+use std::collections::binary_heap::PeekMut;
+use std::collections::{BinaryHeap, HashSet};
 
 /// Dataset-wide headline numbers (§4.1–4.2).
 #[derive(Debug, Clone, PartialEq)]
@@ -269,12 +272,7 @@ pub fn headline(dataset: &Dataset) -> Headline {
         (lo_sum / band_n as f64, hi_sum / band_n as f64)
     };
 
-    let unique_ips = dataset
-        .observations
-        .iter()
-        .map(|o| o.ip)
-        .collect::<HashSet<_>>()
-        .len();
+    let unique_ips = distinct_ips(dataset);
 
     let frac = |n: usize| {
         if invalid_certs == 0 {
@@ -304,6 +302,36 @@ pub fn headline(dataset: &Dataset) -> Headline {
         per_scan_invalid_adjusted_lo: adjusted_lo,
         per_scan_invalid_adjusted_hi: adjusted_hi,
     }
+}
+
+/// Distinct addresses across all scans, by merging the scans'
+/// observation runs, which the dataset keeps sorted by ip: memory for one
+/// cursor per scan, not for a copy of every address.
+fn distinct_ips(dataset: &Dataset) -> usize {
+    let runs: Vec<&[Observation]> = dataset
+        .scan_ids()
+        .map(|s| dataset.scan_observations(s))
+        .filter(|run| !run.is_empty())
+        .collect();
+    // Min-heap of (next address, run, position in the run).
+    let mut heads: BinaryHeap<Reverse<(Ipv4, usize, usize)>> = runs
+        .iter()
+        .enumerate()
+        .map(|(r, run)| Reverse((run[0].ip, r, 0)))
+        .collect();
+    let (mut count, mut last) = (0, None);
+    while let Some(mut head) = heads.peek_mut() {
+        let Reverse((ip, r, i)) = *head;
+        if last != Some(ip) {
+            count += 1;
+            last = Some(ip);
+        }
+        match runs[r].get(i + 1) {
+            Some(next) => *head = Reverse((next.ip, r, i + 1)),
+            None => drop(PeekMut::pop(head)),
+        }
+    }
+    count
 }
 
 #[cfg(test)]
@@ -350,6 +378,31 @@ mod tests {
         assert!((h.per_scan_invalid_mean - (2.0 / 3.0 + 0.5) / 2.0).abs() < 1e-9);
         assert!((h.per_scan_invalid_min - 0.5).abs() < 1e-9);
         assert!((h.per_scan_invalid_max - 2.0 / 3.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn distinct_ips_merge_counts_what_a_set_counts() {
+        let mut b = DatasetBuilder::new();
+        let certs = [
+            b.intern_cert(meta("a", false)),
+            b.intern_cert(meta("b", true)),
+        ];
+        // Seven scans, one of them empty; addresses repeat within a scan
+        // (two certificates on one address) and across scans.
+        let scans: Vec<ScanId> = (0..7).map(|d| b.add_scan(d, Operator::UMich)).collect();
+        let mut x = 0x2545_f491_u32;
+        for i in 0..2_000u32 {
+            x ^= x << 13;
+            x ^= x >> 17;
+            x ^= x << 5;
+            let scan = scans[(x % 6) as usize];
+            b.add_observation(scan, Ipv4(x % 700), certs[(i % 2) as usize]);
+        }
+        let d = b.finish();
+        let want: HashSet<Ipv4> = d.observations.iter().map(|o| o.ip).collect();
+        assert!(d.scan_observations(scans[6]).is_empty());
+        assert_eq!(distinct_ips(&d), want.len());
+        assert_eq!(distinct_ips(&DatasetBuilder::new().finish()), 0);
     }
 
     #[test]

@@ -397,11 +397,43 @@ impl DatasetBuilder {
         self.by_fingerprint.get(fp).copied()
     }
 
-    /// Record an observation.
+    /// Record an observation. `scan` is a registered scan, or a
+    /// provisional id that [`register_scans`](Self::register_scans)
+    /// rewrites.
     pub fn add_observation(&mut self, scan: ScanId, ip: Ipv4, cert: CertId) {
-        debug_assert!((scan.0 as usize) < self.scans.len());
         debug_assert!((cert.0 as usize) < self.certs.len());
         self.observations.push(Observation { scan, ip, cert });
+    }
+
+    /// Register the scans that observations were recorded under as
+    /// provisional ids: `ScanId(p)` stood for `provisional[p]`, which
+    /// holds distinct scans in any order. They are registered in (day,
+    /// UMich-first) order, at most the first 65,535 of them, and every
+    /// observation's scan id is rewritten in place; observations of a
+    /// scan past that cap are dropped. Returns each provisional scan's
+    /// registered id, `None` past the cap.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a scan was already registered with
+    /// [`add_scan`](Self::add_scan).
+    pub fn register_scans(&mut self, provisional: &[ScanInfo]) -> Vec<Option<ScanId>> {
+        assert!(self.scans.is_empty(), "scans are already registered");
+        let mut order: Vec<usize> = (0..provisional.len()).collect();
+        order.sort_by_key(|&p| (provisional[p].day, provisional[p].operator));
+        let mut ids = vec![None; provisional.len()];
+        for &p in order.iter().take(usize::from(u16::MAX)) {
+            ids[p] = Some(self.add_scan(provisional[p].day, provisional[p].operator));
+        }
+        self.observations
+            .retain_mut(|o| match ids[usize::from(o.scan.0)] {
+                Some(id) => {
+                    o.scan = id;
+                    true
+                }
+                None => false,
+            });
+        ids
     }
 
     /// Finish: sort observations and build scan ranges.
@@ -409,6 +441,10 @@ impl DatasetBuilder {
         self.observations
             .sort_unstable_by_key(|o| (o.scan, o.ip, o.cert));
         self.observations.dedup();
+        debug_assert!(self
+            .observations
+            .last()
+            .is_none_or(|o| usize::from(o.scan.0) < self.scans.len()));
         let mut ranges = vec![(0usize, 0usize); self.scans.len()];
         let mut start = 0;
         for (s, range) in ranges.iter_mut().enumerate() {

@@ -12,13 +12,17 @@
 //!   asdb.csv      asn,country,type,name             (optional)
 //! ```
 //!
-//! Certificates are parsed and validity-classified **in parallel** with
-//! scoped threads — the multi-million-certificate corpora this format
-//! targets make single-threaded classification the bottleneck. Workers
+//! Certificates are parsed, validity-classified and reduced to metadata
+//! **in parallel** with scoped threads, one bounded chunk at a time — the
+//! multi-million-certificate corpora this format targets make
+//! single-threaded classification the bottleneck, and holding all of them
+//! parsed at once the memory peak. Workers
 //! are panic-safe: a certificate whose classification panics becomes a
 //! [`InvalidityReason::ParseFailure`] record instead of killing the run.
 
-use crate::dataset::{CertId, CertMeta, Dataset, DatasetBuilder, Operator, ScanCompleteness};
+use crate::dataset::{
+    CertMeta, Dataset, DatasetBuilder, Operator, ScanCompleteness, ScanId, ScanInfo,
+};
 use silentcert_crypto::hex;
 use silentcert_net::{
     AsDatabase, AsInfo, AsNumber, AsType, Ipv4, Prefix, PrefixTable, RoutingHistory,
@@ -26,7 +30,7 @@ use silentcert_net::{
 use silentcert_validate::{Classification, InvalidityReason, Validator};
 use silentcert_x509::pem::{pem_scan, PemError};
 use silentcert_x509::{Certificate, Fingerprint};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::fmt;
 use std::fs;
 use std::io::{self, BufRead, BufReader};
@@ -361,16 +365,9 @@ fn read(dir: &Path, name: &str) -> Result<String, IngestError> {
     fs::read_to_string(&path).map_err(|e| IngestError::Io(path.display().to_string(), e))
 }
 
-/// One `scans.csv` row held between the streamed read and the
-/// day-ordered second pass: no text, and the certificate already
-/// resolved (`None`: its fingerprint is not in `certs.pem`).
-struct ScanRow {
-    line: usize,
-    day: i64,
-    operator: Operator,
-    ip: Ipv4,
-    cert: Option<CertId>,
-}
+/// Where a `scans.csv` row sorts when its problems are reported: day,
+/// operator (UMich first), line.
+type RowKey = (i64, Operator, usize);
 
 /// The error `fs::read_to_string` gives for a file that is not UTF-8.
 fn not_utf8() -> io::Error {
@@ -380,46 +377,37 @@ fn not_utf8() -> io::Error {
     )
 }
 
-/// Classify `certs` in parallel across `threads` workers (`0` inherits the
-/// process-wide [`par::set_threads`](crate::par::set_threads) knob).
-///
-/// The validator is only read during classification, so workers share it
-/// by reference; results come back in input order. A certificate whose
-/// classification panics is recorded as
-/// `Invalid(InvalidityReason::ParseFailure)` without killing the worker.
-pub fn classify_parallel(
-    validator: &Validator,
-    certs: &[Certificate],
-    threads: usize,
-) -> Vec<Classification> {
-    classify_parallel_counting(validator, certs, threads).0
-}
+/// Certificates parsed, classified and reduced to metadata per round of
+/// the second certificate pass, so the parsed corpus is never live at
+/// once.
+const CLASSIFY_CHUNK: usize = 4096;
 
-/// Like [`classify_parallel`], but also reports how many certificates
-/// panicked during classification (each such slot holds `ParseFailure`).
-pub fn classify_parallel_counting(
-    validator: &Validator,
-    certs: &[Certificate],
-    threads: usize,
-) -> (Vec<Classification>, usize) {
-    classify_with(&|cert| validator.classify(cert, &[]), certs, threads)
-}
-
-/// Runs `f` over every certificate on the shared [`par`](crate::par)
-/// fan-out, isolating each call behind `catch_unwind` so one poisoned
-/// certificate cannot take down a worker (and with it, its whole chunk of
-/// the corpus).
-fn classify_with<F>(f: &F, certs: &[Certificate], threads: usize) -> (Vec<Classification>, usize)
+/// Parse each DER of `ders` (all of which parsed before), classify it with
+/// `classify` and reduce it to metadata, on the shared [`par`](crate::par)
+/// fan-out: a worker holds one parsed certificate at a time. Each call is
+/// isolated behind `catch_unwind`, so a certificate whose classification
+/// panics keeps its metadata with a `ParseFailure` outcome instead of
+/// taking down a worker; the second value counts those panics.
+fn reduce_chunk<F>(classify: &F, ders: &[Vec<u8>], threads: usize) -> (Vec<CertMeta>, usize)
 where
     F: Fn(&Certificate) -> Classification + Sync,
 {
+    let parse = |der: &[u8]| Certificate::from_der(der).expect("the DER parsed in pass 1");
     crate::par::map_catch(
-        certs,
+        ders,
         threads,
-        |_, cert| f(cert),
-        // On panic the slot receives the ParseFailure default and nothing
-        // half-written escapes the closure.
-        |_| Classification::Invalid(InvalidityReason::ParseFailure),
+        |_, der| {
+            let cert = parse(der);
+            CertMeta::from_certificate(&cert, classify(&cert))
+        },
+        // Nothing half-written escapes the closure: the slot is rebuilt
+        // from the DER.
+        |i| {
+            CertMeta::from_certificate(
+                &parse(&ders[i]),
+                Classification::Invalid(InvalidityReason::ParseFailure),
+            )
+        },
     )
 }
 
@@ -475,9 +463,11 @@ pub fn load_dataset_with(
     };
 
     // -- certificates -------------------------------------------------------
-    // The PEM text, DER buffers and parsed certificates are dropped as
-    // soon as each stage is done with them; only the interned metadata
-    // outlives this section.
+    // Two passes, so the parsed corpus is never live at once. Pass 1
+    // parses each block to find the intermediates, which are pooled before
+    // anything is classified, and keeps only the DER. Pass 2 parses,
+    // classifies and reduces one chunk at a time. The PEM text goes after
+    // the scan, the DERs after pass 2.
     let scan = pem_scan("CERTIFICATE", &read(dir, "certs.pem")?);
     report.pem_blocks = scan.blocks.len();
     report.pem_stray_lines = scan.stray_lines;
@@ -493,12 +483,18 @@ pub fn load_dataset_with(
             "unterminated PEM block".to_string(),
         );
     }
-    let mut certs = Vec::with_capacity(scan.blocks.len());
+    let mut ders: Vec<Vec<u8>> = Vec::with_capacity(scan.blocks.len());
+    let mut cas: Vec<Certificate> = Vec::new();
     let mut parse_failures: Vec<Fingerprint> = Vec::new();
     for block in scan.blocks {
         match block.result {
             Ok(der) => match Certificate::from_der(&der) {
-                Ok(cert) => certs.push(cert),
+                Ok(cert) => {
+                    if cert.is_ca() {
+                        cas.push(cert);
+                    }
+                    ders.push(der);
+                }
                 // Keep unparseable certificates addressable by fingerprint
                 // so their observations classify as parse failures.
                 Err(_) => parse_failures.push(Fingerprint(silentcert_crypto::sha256(&der))),
@@ -515,42 +511,59 @@ pub fn load_dataset_with(
             }
         }
     }
-    report.certs_parsed = certs.len();
+    report.certs_parsed = ders.len();
     report.cert_parse_failures = parse_failures.len();
 
-    // Pool intermediates first, then classify everything in parallel.
-    for cert in &certs {
-        validator.add_intermediate(cert);
+    // Every CA in file order (the pool takes only those that may sign)
+    // before any classification.
+    for ca in cas {
+        validator.add_intermediate(&ca);
     }
-    let (classifications, panics) = classify_parallel_counting(validator, &certs, opts.threads);
-    report.classify_panics = panics;
-
+    let validator = &*validator;
     let mut builder = DatasetBuilder::new();
-    for (cert, class) in certs.iter().zip(classifications) {
-        builder.intern_cert(CertMeta::from_certificate(cert, class));
+    for chunk in ders.chunks(CLASSIFY_CHUNK) {
+        let (metas, panics) =
+            reduce_chunk(&|cert| validator.classify(cert, &[]), chunk, opts.threads);
+        report.classify_panics += panics;
+        for meta in metas {
+            builder.intern_cert(meta);
+        }
     }
-    drop(certs);
+    drop(ders);
     for fp in parse_failures {
         builder.intern_cert(parse_failure_meta(fp));
     }
 
     // -- observations --------------------------------------------------------
-    // Streamed: each row is parsed and its fingerprint resolved as it is
-    // read, and only a compact row is kept. Raw text is kept only for the
-    // rows lenient mode will quarantine, and their payloads are written
-    // once the whole file has read as UTF-8, so a file that is not loads
-    // nothing and quarantines nothing, as when it was read in one piece.
+    // Streamed: each row is parsed, its fingerprint resolved and its
+    // observation recorded as it is read, under a provisional scan id
+    // taken in first-seen order; `DatasetBuilder::register_scans` puts
+    // the scans in day order once the file is read. Raw text is kept only
+    // for the rows lenient mode will quarantine, and their payloads are
+    // written once the whole file has read as UTF-8, so a file that is
+    // not loads nothing and quarantines nothing, as when it was read in
+    // one piece.
     let path = dir.join("scans.csv");
     let io_error = |e| IngestError::Io(path.display().to_string(), e);
     let mut reader = BufReader::new(fs::File::open(&path).map_err(io_error)?);
-    let mut rows: Vec<ScanRow> = Vec::new();
-    // Rows whose fingerprint is not in certs.pem, in file order, with
-    // the text a quarantine store preserves (empty without a store):
-    // `(line, fingerprint, text)`.
-    let mut unknown: Vec<(usize, Fingerprint, String)> = Vec::new();
+    // Scans in first-seen order, with the line of each one's first row;
+    // a scan is seen once a row of it resolves. A scan's index is its
+    // provisional id, and rows of a scan whose index does not fit a
+    // `ScanId` are not recorded: such a corpus names more scans than a
+    // dataset holds.
+    let mut scans: Vec<ScanInfo> = Vec::new();
+    let mut first_lines: Vec<usize> = Vec::new();
+    let mut scan_index: HashMap<(i64, Operator), usize> = HashMap::new();
+    let mut resolved_rows = 0;
+    // What the read leaves to report, in (day, UMich-first, line) order
+    // once sorted: rows whose fingerprint is not in certs.pem, with the
+    // text a quarantine store preserves (empty without a store), and
+    // rows of scans past the cap (`None`).
+    let mut problems: Vec<(RowKey, Option<(Fingerprint, String)>)> = Vec::new();
     let mut syntax_payloads: Vec<String> = Vec::new();
     let mut strict_error: Option<(usize, &'static str)> = None;
-    let mut seen_rows: HashSet<(i64, Operator, Ipv4, Fingerprint)> = HashSet::new();
+    // Lenient mode: each distinct row, with the line it first appeared on.
+    let mut seen_rows: HashMap<(i64, Operator, Ipv4, Fingerprint), usize> = HashMap::new();
     let mut buf = Vec::new();
     let mut lineno = 0;
     loop {
@@ -576,22 +589,25 @@ pub fn load_dataset_with(
             Ok((day, operator, ip, fp)) => {
                 // Dedup before fingerprint lookup: a duplicated row is a
                 // transport artifact regardless of what it references.
-                if lenient && !seen_rows.insert((day, operator, ip, fp)) {
+                if lenient && *seen_rows.entry((day, operator, ip, fp)).or_insert(lineno) != lineno
+                {
                     report.duplicate_rows += 1;
                     continue;
                 }
-                let cert = builder.cert_id(&fp);
-                if cert.is_none() {
+                let Some(cert) = builder.cert_id(&fp) else {
                     let text = if preserving { line } else { "" };
-                    unknown.push((lineno, fp, text.to_string()));
-                }
-                rows.push(ScanRow {
-                    line: lineno,
-                    day,
-                    operator,
-                    ip,
-                    cert,
+                    problems.push(((day, operator, lineno), Some((fp, text.to_string()))));
+                    continue;
+                };
+                let p = *scan_index.entry((day, operator)).or_insert_with(|| {
+                    scans.push(ScanInfo { day, operator });
+                    first_lines.push(lineno);
+                    scans.len() - 1
                 });
+                if let Ok(p) = u16::try_from(p) {
+                    builder.add_observation(ScanId(p), ip, cert);
+                }
+                resolved_rows += 1;
             }
             Err(reason) if !lenient => strict_error = Some((lineno, reason)),
             Err(reason) => {
@@ -603,30 +619,43 @@ pub fn load_dataset_with(
             }
         }
     }
-    drop(seen_rows);
     if let Some((line, reason)) = strict_error {
         return Err(IngestError::Csv("scans.csv", line, reason));
     }
     for payload in &syntax_payloads {
         preserve(&mut report, payload.as_bytes());
     }
-    // Scans must be registered in day order; the sort is stable, so
-    // rows of one scan keep their file order.
-    rows.sort_by_key(|r| (r.day, r.operator != Operator::UMich));
-    let mut scan_ids: HashMap<(i64, Operator), crate::dataset::ScanId> = HashMap::new();
-    for &ScanRow {
-        line: lineno,
-        day,
-        operator: op,
-        ip,
-        cert,
-    } in &rows
-    {
-        let Some(cert) = cert else {
-            let at = unknown
-                .binary_search_by_key(&lineno, |u| u.0)
-                .expect("every unresolved row is recorded");
-            let (_, fp, line) = &unknown[at];
+    let scan_ids = builder.register_scans(&scans);
+    if scan_ids.contains(&None) {
+        if lenient {
+            // Every refused row, and the rows not recorded above of
+            // scans that made the cap.
+            for (&(day, operator, ip, fp), &line) in &seen_rows {
+                let Some(cert) = builder.cert_id(&fp) else {
+                    continue;
+                };
+                let p = scan_index[&(day, operator)];
+                match scan_ids[p] {
+                    None => problems.push(((day, operator, line), None)),
+                    Some(id) if u16::try_from(p).is_err() => builder.add_observation(id, ip, cert),
+                    Some(_) => {}
+                }
+            }
+        } else {
+            // Strict mode stops at the first problem, which is at latest
+            // the first row of the earliest scan past the cap.
+            let first_refused = (scans.iter().zip(&first_lines).zip(&scan_ids))
+                .filter(|(_, id)| id.is_none())
+                .map(|((s, &line), _)| (s.day, s.operator, line))
+                .min();
+            problems.extend(first_refused.map(|at| (at, None)));
+        }
+    }
+    drop(seen_rows);
+    problems.sort_unstable_by_key(|p| p.0);
+    let mut refused_rows = 0;
+    for ((_, _, line), unknown) in problems {
+        if let Some((fp, text)) = unknown {
             if !lenient {
                 return Err(IngestError::UnknownFingerprint(fp.to_hex()));
             }
@@ -634,39 +663,31 @@ pub fn load_dataset_with(
             report.note(
                 cap,
                 "scans.csv",
-                lineno,
+                line,
                 format!("unknown certificate {}", fp.to_hex()),
             );
-            preserve(&mut report, line.as_bytes());
-            continue;
-        };
-        // `ScanId` is a u16; a hostile corpus could name more distinct
-        // (day, operator) pairs than that, which must be a parse error
-        // here rather than a panic inside `DatasetBuilder::add_scan`.
-        if !scan_ids.contains_key(&(day, op)) && scan_ids.len() >= usize::from(u16::MAX) {
+            preserve(&mut report, text.as_bytes());
+        } else {
+            // `ScanId` is a u16: a hostile corpus naming more distinct
+            // (day, operator) pairs than that gets a parse error here.
             if !lenient {
                 return Err(IngestError::Csv(
                     "scans.csv",
-                    lineno,
+                    line,
                     "too many distinct scans",
                 ));
             }
+            refused_rows += 1;
             report.csv_syntax_errors += 1;
             report.note(
                 cap,
                 "scans.csv",
-                lineno,
+                line,
                 "too many distinct scans".to_string(),
             );
-            continue;
         }
-        let scan = *scan_ids
-            .entry((day, op))
-            .or_insert_with(|| builder.add_scan(day, op));
-        builder.add_observation(scan, ip, cert);
-        report.rows_accepted += 1;
     }
-    drop(rows);
+    report.rows_accepted = resolved_rows - refused_rows;
 
     // -- scan completeness (optional sidecar) ---------------------------------
     if dir.join("completeness.csv").exists() {
@@ -677,8 +698,8 @@ pub fn load_dataset_with(
                 continue;
             }
             match parse_completeness_row(line) {
-                Ok((day, op, rec)) => match scan_ids.get(&(day, op)) {
-                    Some(&scan) => {
+                Ok((day, op, rec)) => match scan_index.get(&(day, op)).and_then(|&p| scan_ids[p]) {
+                    Some(scan) => {
                         builder.set_completeness(scan, rec);
                         report.completeness_rows += 1;
                     }
@@ -897,6 +918,7 @@ mod tests {
     use silentcert_validate::TrustStore;
     use silentcert_x509::pem::pem_encode;
     use silentcert_x509::{CertificateBuilder, Name, Time};
+    use std::collections::HashSet;
 
     fn tempdir(tag: &str) -> std::path::PathBuf {
         let dir =
@@ -1205,6 +1227,176 @@ mod tests {
     }
 
     #[test]
+    fn scan_cap_refuses_the_last_scan_in_day_order() {
+        let dir = tempdir("scan-cap");
+        let a = device_cert("device-a");
+        fs::write(dir.join("certs.pem"), pem_encode("CERTIFICATE", a.to_der())).unwrap();
+        let fp = a.fingerprint().to_hex();
+        // One row for each of 65,536 distinct scans, one more than a
+        // dataset holds. Scan `k` is day `k / 2`, UMich for even `k`, and
+        // the rows are scrambled (7919 is odd, so `i * 7919` permutes the
+        // scans), so file order is not day order.
+        let scans = 1usize << 16;
+        let mut text = String::new();
+        let mut last_line = 0;
+        for i in 0..scans {
+            let k = (i * 7919) % scans;
+            let op = if k.is_multiple_of(2) {
+                "umich"
+            } else {
+                "rapid7"
+            };
+            text.push_str(&format!("{},{op},10.0.0.1,{fp}\n", k / 2));
+            if k == scans - 1 {
+                last_line = i + 1;
+            }
+        }
+        fs::write(dir.join("scans.csv"), text).unwrap();
+
+        let mut v = Validator::new(TrustStore::new());
+        let (d, report) = load_dataset_with(&dir, &mut v, &IngestOptions::lenient()).unwrap();
+        assert_eq!(d.scans.len(), scans - 1);
+        assert_eq!(d.len(), scans - 1);
+        assert_eq!(
+            d.scans.last(),
+            Some(&crate::dataset::ScanInfo {
+                day: 32_767,
+                operator: Operator::UMich
+            })
+        );
+        assert_eq!(
+            (report.rows_accepted, report.csv_syntax_errors),
+            (scans - 1, 1)
+        );
+        assert_eq!(
+            report.quarantined,
+            [QuarantinedRecord {
+                file: "scans.csv",
+                line: last_line,
+                reason: "too many distinct scans".to_string(),
+            }]
+        );
+        match load_dataset(&dir, &mut v) {
+            Err(IngestError::Csv("scans.csv", line, "too many distinct scans")) => {
+                assert_eq!(line, last_line)
+            }
+            other => panic!("unexpected: {other:?}"),
+        }
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn scans_seen_past_the_scan_id_range_still_load_in_day_order() {
+        let dir = tempdir("scan-cap-reverse");
+        let a = device_cert("device-a");
+        fs::write(dir.join("certs.pem"), pem_encode("CERTIFICATE", a.to_der())).unwrap();
+        let fp = a.fingerprint().to_hex();
+        // 65,537 scans in reverse day order: the earliest is seen last,
+        // after every provisional id is taken, and the two latest (lines
+        // 1 and 2) are past the cap. Then a repeat of the earliest scan's
+        // row and an unknown fingerprint on the latest day.
+        let scans = (1usize << 16) + 1;
+        let mut text: String = (0..scans)
+            .map(|i| format!("{},umich,10.0.0.1,{fp}\n", scans - 1 - i))
+            .collect();
+        text.push_str(&format!("0,umich,10.0.0.1,{fp}\n"));
+        text.push_str(&format!(
+            "{},umich,10.0.0.2,{}\n",
+            scans - 1,
+            "ee".repeat(32)
+        ));
+        fs::write(dir.join("scans.csv"), text).unwrap();
+
+        let mut v = Validator::new(TrustStore::new());
+        let (d, report) = load_dataset_with(&dir, &mut v, &IngestOptions::lenient()).unwrap();
+        assert_eq!(d.scans.len(), scans - 2);
+        assert_eq!(d.scans[0].day, 0);
+        assert_eq!(d.len(), scans - 2);
+        assert_eq!(d.scan_observations(ScanId(0)).len(), 1);
+        assert_eq!(
+            (
+                report.rows_accepted,
+                report.csv_syntax_errors,
+                report.duplicate_rows,
+                report.unknown_fingerprints
+            ),
+            (scans - 2, 2, 1, 1)
+        );
+        let notes: Vec<(usize, &str)> = report
+            .quarantined
+            .iter()
+            .map(|q| (q.line, q.reason.as_str()))
+            .collect();
+        let unknown = format!("unknown certificate {}", "ee".repeat(32));
+        assert_eq!(
+            notes,
+            [
+                (2, "too many distinct scans"),
+                (1, "too many distinct scans"),
+                (scans + 2, unknown.as_str()),
+            ]
+        );
+        match load_dataset(&dir, &mut v) {
+            Err(IngestError::Csv("scans.csv", 2, "too many distinct scans")) => {}
+            other => panic!("unexpected: {other:?}"),
+        }
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn row_order_does_not_change_the_dataset() {
+        let dir = tempdir("row-order");
+        let certs: Vec<Certificate> = (0..3).map(|i| device_cert(&format!("order-{i}"))).collect();
+        let pem: String = certs
+            .iter()
+            .map(|c| pem_encode("CERTIFICATE", c.to_der()))
+            .collect();
+        fs::write(dir.join("certs.pem"), pem).unwrap();
+        fs::write(
+            dir.join("completeness.csv"),
+            "100,umich,3,2,0,1,0\n107,rapid7,2,2,0,0,0\n121,umich,5,1,0,0,4\n",
+        )
+        .unwrap();
+        let row = |day: i64, op: &str, ip: u8, cert: usize| {
+            format!(
+                "{day},{op},10.0.0.{ip},{}\n",
+                certs[cert].fingerprint().to_hex()
+            )
+        };
+        // In (day, UMich-first) order; day 107 has a scan of each operator.
+        let sorted = [
+            row(100, "umich", 1, 0),
+            row(100, "umich", 2, 1),
+            row(107, "umich", 1, 0),
+            row(107, "umich", 3, 2),
+            row(107, "rapid7", 1, 0),
+            row(107, "rapid7", 2, 1),
+            row(114, "rapid7", 3, 2),
+            row(121, "umich", 1, 0),
+            row(121, "umich", 2, 2),
+        ];
+        // Days out of order, operators interleaved within day 107.
+        let shuffled = [7, 4, 0, 6, 2, 8, 5, 1, 3].map(|i| sorted[i].clone());
+        let load = |rows: &[String]| {
+            fs::write(dir.join("scans.csv"), rows.concat()).unwrap();
+            let mut v = Validator::new(TrustStore::new());
+            load_dataset(&dir, &mut v).unwrap()
+        };
+        let (want, got) = (load(&sorted), load(&shuffled));
+        assert_eq!(got.scans, want.scans);
+        assert_eq!(got.certs, want.certs);
+        assert_eq!(got.observations, want.observations);
+        for s in want.scan_ids() {
+            assert_eq!(got.scan_observations(s), want.scan_observations(s), "{s:?}");
+        }
+        assert_eq!(got.completeness, want.completeness);
+        assert_eq!(want.scans.len(), 5);
+        assert_eq!(want.len(), 9);
+        assert_eq!(want.completeness.iter().flatten().count(), 3);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn non_utf8_scans_csv_is_an_io_error_and_quarantines_nothing() {
         let dir = tempdir("not-utf8");
         let qdir = dir.join("q");
@@ -1434,34 +1626,40 @@ mod tests {
     #[test]
     fn classification_panic_becomes_parse_failure() {
         let certs: Vec<Certificate> = (0..8).map(|i| device_cert(&format!("p-{i}"))).collect();
+        let ders: Vec<Vec<u8>> = certs.iter().map(|c| c.to_der().to_vec()).collect();
         let poisoned = certs[3].fingerprint();
-        let (out, panics) = classify_with(
+        let (out, panics) = reduce_chunk(
             &|cert: &Certificate| {
                 assert!(cert.fingerprint() != poisoned, "poisoned certificate");
                 Classification::Invalid(InvalidityReason::SelfSigned)
             },
-            &certs,
+            &ders,
             3,
         );
         assert_eq!(panics, 1);
         assert_eq!(out.len(), 8);
-        for (i, class) in out.iter().enumerate() {
-            let expected = if i == 3 {
+        for (i, (meta, cert)) in out.iter().zip(&certs).enumerate() {
+            let class = if i == 3 {
                 Classification::Invalid(InvalidityReason::ParseFailure)
             } else {
                 Classification::Invalid(InvalidityReason::SelfSigned)
             };
-            assert_eq!(*class, expected, "slot {i}");
+            assert_eq!(*meta, CertMeta::from_certificate(cert, class), "slot {i}");
         }
     }
 
     #[test]
     fn parallel_classification_matches_serial() {
         let certs: Vec<Certificate> = (0..40).map(|i| device_cert(&format!("dev-{i}"))).collect();
+        let ders: Vec<Vec<u8>> = certs.iter().map(|c| c.to_der().to_vec()).collect();
         let v = Validator::new(TrustStore::new());
-        let parallel = classify_parallel(&v, &certs, 7);
-        for (cert, class) in certs.iter().zip(&parallel) {
-            assert_eq!(*class, v.classify(cert, &[]));
+        let (parallel, panics) = reduce_chunk(&|cert| v.classify(cert, &[]), &ders, 7);
+        assert_eq!(panics, 0);
+        for (cert, meta) in certs.iter().zip(&parallel) {
+            assert_eq!(
+                *meta,
+                CertMeta::from_certificate(cert, v.classify(cert, &[]))
+            );
         }
     }
 }

@@ -44,7 +44,12 @@ impl TrustStore {
 
     /// Whether this exact certificate is a trusted root.
     pub fn contains(&self, cert: &Certificate) -> bool {
-        self.by_fingerprint.contains_key(&cert.fingerprint())
+        self.contains_fingerprint(&cert.fingerprint())
+    }
+
+    /// Whether the certificate with this fingerprint is a trusted root.
+    pub fn contains_fingerprint(&self, fp: &Fingerprint) -> bool {
+        self.by_fingerprint.contains_key(fp)
     }
 
     /// Trusted roots whose subject matches `name`.

@@ -93,6 +93,23 @@ fn can_sign_certs(cert: &Certificate) -> bool {
     true
 }
 
+/// A certificate and its fingerprint, hashed once: per classification for
+/// the leaf, per chain edge for a candidate parent.
+#[derive(Clone, Copy)]
+struct Hashed<'a> {
+    cert: &'a Certificate,
+    fp: Fingerprint,
+}
+
+impl<'a> From<&'a Certificate> for Hashed<'a> {
+    fn from(cert: &'a Certificate) -> Hashed<'a> {
+        Hashed {
+            cert,
+            fp: cert.fingerprint(),
+        }
+    }
+}
+
 /// The certificate validator.
 ///
 /// Holds the trusted roots plus a pool of intermediates collected from the
@@ -153,23 +170,29 @@ impl Validator {
 
     /// Whether `parent`'s key signed `cert`, through the fingerprint-keyed
     /// memo. The parent certificate's fingerprint names its key, and
-    /// hashing its DER costs less than re-encoding the key's SPKI.
+    /// hashing its DER costs less than re-encoding the key's SPKI;
+    /// `parent_fp` is that fingerprint if the caller has it already.
     ///
     /// Only RSA parents are memoized: the hash-based sim scheme verifies in
     /// about the time it takes to key the map, so caching it would be pure
     /// overhead.
-    fn verify_cached(&self, cert: &Certificate, parent: &Certificate) -> bool {
+    fn verify_cached(
+        &self,
+        cert: Hashed<'_>,
+        parent: &Certificate,
+        parent_fp: Option<Fingerprint>,
+    ) -> bool {
         let parent_key = &parent.public_key;
         if !matches!(parent_key, PublicKey::Rsa(_)) {
-            return cert.verify_signed_by(parent_key).is_ok();
+            return cert.cert.verify_signed_by(parent_key).is_ok();
         }
-        let key = (parent.fingerprint(), cert.fingerprint());
+        let key = (parent_fp.unwrap_or_else(|| parent.fingerprint()), cert.fp);
         if let Some(hit) = self.verify_memo.get(&key) {
             obs::memo_hits().inc();
             return hit;
         }
         obs::memo_misses().inc();
-        let ok = cert.verify_signed_by(parent_key).is_ok();
+        let ok = cert.cert.verify_signed_by(parent_key).is_ok();
         self.verify_memo.insert(key, ok);
         ok
     }
@@ -212,8 +235,9 @@ impl Validator {
     }
 
     fn classify_inner(&self, cert: &Certificate, presented: &[Certificate]) -> Classification {
+        let leaf = Hashed::from(cert);
         // Trusted roots are trivially valid.
-        if self.trust.contains(cert) {
+        if self.trust.contains_fingerprint(&leaf.fp) {
             return Classification::Valid {
                 chain_len: 1,
                 transvalid: false,
@@ -221,10 +245,9 @@ impl Validator {
         }
 
         // Chain search: depth-first over candidate parents.
-        let mut visited = HashSet::new();
-        visited.insert(cert.fingerprint());
+        let mut visited = HashSet::from([leaf.fp]);
         if let Some((chain_len, transvalid)) =
-            self.build_chain(cert, presented, &mut visited, &mut 0, 1)
+            self.build_chain(leaf, presented, &mut visited, &mut 0, 1)
         {
             return Classification::Valid {
                 chain_len,
@@ -235,7 +258,7 @@ impl Validator {
         // No trusted chain. Reproduce the paper's invalidity breakdown:
         // error 19 / manual self-signature check first, then untrusted
         // issuer, then signature errors.
-        if self.verify_cached(cert, cert) {
+        if self.verify_cached(leaf, cert, Some(leaf.fp)) {
             return Classification::Invalid(InvalidityReason::SelfSigned);
         }
         // If *some* candidate issuer key verifies the signature the chain
@@ -250,7 +273,7 @@ impl Validator {
             .chain(trusted_candidates)
         {
             saw_candidate = true;
-            if self.verify_cached(cert, parent) {
+            if self.verify_cached(leaf, parent, None) {
                 return Classification::Invalid(InvalidityReason::UntrustedIssuer);
             }
         }
@@ -299,40 +322,39 @@ impl Validator {
     /// Depth-first chain construction. Returns `(chain_len, transvalid)` on
     /// reaching a trusted root. `edges` counts the candidate edges tried;
     /// once it reaches [`MAX_CHAIN_EDGES`] the whole search returns `None`.
-    fn build_chain(
+    fn build_chain<'c>(
         &self,
-        cert: &Certificate,
+        cert: impl Into<Hashed<'c>>,
         presented: &[Certificate],
         visited: &mut HashSet<Fingerprint>,
         edges: &mut usize,
         depth: usize,
     ) -> Option<(u8, bool)> {
+        let cert = cert.into();
         if depth >= MAX_CHAIN {
             return None;
         }
         // Terminal: a trusted root signed this certificate.
-        for root in self.trust.roots_named(&cert.issuer) {
-            if self.try_edge(cert, root, edges)? {
+        for root in self.trust.roots_named(&cert.cert.issuer) {
+            if self.try_edge(cert, root, None, edges)? {
                 return Some((depth as u8 + 1, false));
             }
         }
         // Recurse through intermediates: presented chain first (a complete
         // presented chain is the non-transvalid path), then the pool.
-        for (from_pool, parent) in self.candidate_parents_tagged(cert, presented) {
-            if parent.fingerprint() == cert.fingerprint() {
+        for (from_pool, parent) in self.candidate_parents_tagged(cert.cert, presented) {
+            let parent = Hashed::from(parent);
+            if parent.fp == cert.fp || !visited.insert(parent.fp) {
                 continue;
             }
-            if !visited.insert(parent.fingerprint()) {
-                continue;
-            }
-            if self.try_edge(cert, parent, edges)? {
+            if self.try_edge(cert, parent.cert, Some(parent.fp), edges)? {
                 if let Some((len, trans)) =
                     self.build_chain(parent, presented, visited, edges, depth + 1)
                 {
                     return Some((len, trans || from_pool));
                 }
             }
-            visited.remove(&parent.fingerprint());
+            visited.remove(&parent.fp);
         }
         None
     }
@@ -342,15 +364,16 @@ impl Validator {
     /// the search has tried as many edges as it may.
     fn try_edge(
         &self,
-        cert: &Certificate,
+        cert: Hashed<'_>,
         parent: &Certificate,
+        parent_fp: Option<Fingerprint>,
         edges: &mut usize,
     ) -> Option<bool> {
         if *edges == MAX_CHAIN_EDGES {
             return None;
         }
         *edges += 1;
-        Some(self.verify_cached(cert, parent))
+        Some(self.verify_cached(cert, parent, parent_fp))
     }
 
     /// Candidate parents by issuer-name match: presented chain then pool.
