@@ -41,9 +41,9 @@ use silentcert_obs::fleet::{
     compute_view, export_ring, BurnWindow, FleetSample, FleetView, SampleRing, ShardSample,
     SloConfig,
 };
+use silentcert_obs::json::{self, Value};
 use silentcert_obs::metrics::{HistogramSnapshot, Registry, SeriesValue, Snapshot, NUM_BUCKETS};
 use silentcert_obs::Clock;
-use silentcert_serve::json::{self, Value};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
@@ -589,19 +589,25 @@ mod tests {
 
     #[test]
     fn wire_snapshot_round_trips_exactly() {
-        let snap = busy_snapshot(42, &[1, 5, 900, 70_000]);
-        let wire = snap.render_wire_json();
-        let parsed = snapshot_from_wire(&json::parse(&wire).unwrap()).unwrap();
-        assert_eq!(parsed, snap);
+        // A label value holding every character a JSON string escapes.
+        let hostile = Registry::new();
+        hostile
+            .counter_with(
+                "silentcert_serve_shed_total",
+                &[("reason", "q\"b\\t\tc\rl\nu\u{1}é")],
+            )
+            .add(7);
+        for snap in [busy_snapshot(42, &[1, 5, 900, 70_000]), hostile.snapshot()] {
+            let wire = snap.render_wire_json();
+            let parsed = snapshot_from_wire(&json::parse(&wire).unwrap()).unwrap();
+            assert_eq!(parsed, snap);
+        }
     }
 
-    /// The acceptance contract: exported numbers are reproduced exactly
-    /// by an offline recomputation from the exported ring. Build a ring
-    /// on a virtual timeline, render the live view, export the ring,
-    /// parse it back, recompute — byte-identical exposition and JSON.
-    #[test]
-    fn exported_ring_recomputes_to_identical_views() {
-        let handle = AggregatorHandle::new(SloConfig::default(), 32);
+    /// A handle whose ring holds four rounds of one shard on a virtual
+    /// timeline, with a restart between the second and the third.
+    fn busy_handle(slo: SloConfig) -> AggregatorHandle {
+        let handle = AggregatorHandle::new(slo, 32);
         {
             let mut ring = handle.state.ring.lock().unwrap();
             let mut push = |ts: u64, generation: u64, ok: u64, lat: &[u64]| {
@@ -623,6 +629,16 @@ mod tests {
             push(2_000, 2, 12, &[9]); // SIGKILL + restart: counters reset
             push(2_500, 2, 50, &[9, 9, 9, 1_200]);
         }
+        handle
+    }
+
+    /// The acceptance contract: exported numbers are reproduced exactly
+    /// by an offline recomputation from the exported ring. Build a ring
+    /// on a virtual timeline, render the live view, export the ring,
+    /// parse it back, recompute — byte-identical exposition and JSON.
+    #[test]
+    fn exported_ring_recomputes_to_identical_views() {
+        let handle = busy_handle(SloConfig::default());
         let live = handle.view();
         let export = handle.export_json();
         let (slo, ring) = parse_ring(&export).unwrap();
@@ -637,6 +653,22 @@ mod tests {
         let ring_window = live.windows.iter().find(|w| w.name == "ring").unwrap();
         assert!(ring_window.req_rate > 0.0);
         assert!(ring_window.burn_rate.is_finite());
+    }
+
+    /// The same contract for a window name the JSON writers must escape:
+    /// a raw tab in the export would be refused by the strict reader.
+    #[test]
+    fn exported_ring_with_a_tab_in_a_window_name_recomputes_identically() {
+        let mut slo = SloConfig::default();
+        slo.windows[0].name = "burst\t1".to_string();
+        let handle = busy_handle(slo);
+        let live = handle.view();
+        let (slo, ring) = parse_ring(&handle.export_json()).unwrap();
+        assert_eq!(slo.windows[0].name, "burst\t1");
+        let offline = compute_view(&ring, &slo);
+        assert_eq!(live.render_prometheus(), offline.render_prometheus());
+        assert_eq!(live.render_json(), offline.render_json());
+        assert!(live.render_json().contains(r#""name":"burst\t1""#));
     }
 
     #[test]

@@ -46,6 +46,7 @@
 //! exceed a threshold. `budget_remaining = 1 − burn(ring)` — the
 //! fraction of budget left over the full retained history.
 
+use crate::json::escape;
 use crate::metrics::{help_text, HistogramSnapshot, SeriesValue, Snapshot};
 use std::collections::{BTreeMap, VecDeque};
 
@@ -659,7 +660,7 @@ impl FleetView {
             }
             out.push_str(&format!(
                 "{{\"name\":\"{}\",\"span_ms\":{},\"samples\":{},\"elapsed_ms\":{},\"good\":{},\"bad\":{},\"slow\":{},\"req_rate\":{},\"error_ratio\":{},\"burn_rate\":{},\"p50\":{},\"p95\":{},\"p99\":{}}}",
-                w.name,
+                escape(&w.name),
                 w.span_ms,
                 w.samples,
                 w.elapsed_ms,
@@ -683,7 +684,7 @@ impl FleetView {
                 "{{\"shard\":{},\"generation\":{},\"health\":\"{}\",\"ok\":{},\"req_rate\":{},\"p99_ms\":{},\"shed_rate\":{},\"queue_depth\":{},\"breaker_state\":{},\"journal_entries\":{}}}",
                 s.shard,
                 s.generation,
-                s.health,
+                escape(&s.health),
                 s.ok,
                 fmt_f64(s.req_rate),
                 fmt_f64(s.p99_ms),
@@ -724,7 +725,8 @@ pub fn export_ring(ring: &SampleRing, slo: &SloConfig) -> String {
         }
         out.push_str(&format!(
             "{{\"name\":\"{}\",\"span_ms\":{}}}",
-            w.name, w.span_ms
+            escape(&w.name),
+            w.span_ms
         ));
     }
     out.push_str(&format!(
@@ -750,7 +752,7 @@ pub fn export_ring(ring: &SampleRing, slo: &SloConfig) -> String {
                 "{{\"shard\":{},\"generation\":{},\"health\":\"{}\",\"ok\":{},\"snapshot\":{}}}",
                 sh.shard,
                 sh.generation,
-                sh.health,
+                escape(&sh.health),
                 sh.ok,
                 sh.snapshot.render_wire_json()
             ));

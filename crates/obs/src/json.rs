@@ -1,10 +1,12 @@
-//! A minimal JSON reader for the wire protocol.
+//! The workspace's one JSON codec: a reader for the wire protocol,
+//! [`Value::render`], and [`escape`], the one JSON string escaper every
+//! hand-written JSON line goes through.
 //!
-//! The vendored `serde_json` stand-in only *writes* JSON, so the daemon
-//! carries its own reader. It is deliberately strict and small: UTF-8
-//! input, no trailing garbage, recursion depth capped (hostile clients
-//! send `[[[[…`), numbers as `f64`, `\uXXXX` escapes supported (surrogate
-//! pairs included). Everything the protocol needs and nothing more.
+//! The reader is deliberately strict and small: UTF-8 input, no trailing
+//! garbage, recursion depth capped (hostile clients send `[[[[…`),
+//! numbers as `f64`, `\uXXXX` escapes supported (surrogate pairs
+//! included), and the last of duplicate object keys wins. Everything the
+//! protocol needs and nothing more.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -138,8 +140,10 @@ pub fn parse(text: &str) -> Result<Value, ParseError> {
 
 /// Length of the plain run at the head of `bytes`: the bytes before the
 /// first `"`, `\` or control byte, or all of them. The string reader
-/// and [`crate::protocol::fast_scan`] share this one scan.
-pub(crate) fn plain_run(bytes: &[u8]) -> usize {
+/// and `silentcert_serve::protocol::fast_scan` share this one scan.
+#[doc(hidden)]
+#[inline]
+pub fn plain_run(bytes: &[u8]) -> usize {
     bytes
         .iter()
         .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
@@ -415,6 +419,13 @@ mod tests {
         assert_eq!(parse("null").unwrap(), Value::Null);
         assert_eq!(parse("-2.5e2").unwrap(), Value::Number(-250.0));
         assert_eq!(parse("[]").unwrap(), Value::Array(vec![]));
+    }
+
+    #[test]
+    fn the_last_duplicate_key_wins() {
+        let v = parse(r#"{"a":1,"b":true,"a":2}"#).unwrap();
+        assert_eq!(v.get("a").unwrap().as_f64(), Some(2.0));
+        assert_eq!(v.render(), r#"{"a":2,"b":true}"#);
     }
 
     #[test]

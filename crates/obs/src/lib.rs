@@ -9,6 +9,10 @@
 //!   log-linear histograms with mergeable snapshots, quantile
 //!   estimation, and Prometheus / JSON rendering. The record path is
 //!   atomics-only: cheap enough for modpow and the validator memo.
+//! * [`json`] — the workspace's one JSON codec: the strict reader the
+//!   wire protocol parses with, [`Value::render`](json::Value::render),
+//!   and [`escape`](json::escape), the one JSON string escaper (moved
+//!   here from `silentcert-serve`, which re-exports it).
 //! * [`fleet`] — the time-windowed aggregation core over per-shard
 //!   snapshot rings: counter-reset-aware rates, fleet quantiles by
 //!   bucket-wise window merge, and multi-window error-budget burn
@@ -37,6 +41,7 @@
 pub mod clock;
 pub mod fleet;
 pub mod fsio;
+pub mod json;
 pub mod metrics;
 pub mod trace;
 

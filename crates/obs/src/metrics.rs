@@ -24,6 +24,7 @@
 //! conventions (`_total` for counters, unit suffixes like `_ms` / `_us`
 //! on histograms); see DESIGN.md §11.
 
+use crate::json::escape;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicI64, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock, RwLock};
@@ -640,7 +641,7 @@ impl Snapshot {
                 out.push(',');
             }
             first = false;
-            out.push_str(&format!("\"{}\":", escape_json(key)));
+            out.push_str(&format!("\"{}\":", escape(key)));
             match value {
                 SeriesValue::Counter(v) => out.push_str(&format!("{{\"c\":{v}}}")),
                 SeriesValue::Gauge(v) => out.push_str(&format!("{{\"g\":{v}}}")),
@@ -679,7 +680,7 @@ impl Snapshot {
                 out.push(',');
             }
             first = false;
-            out.push_str(&format!("\"{}\":", escape_json(key)));
+            out.push_str(&format!("\"{}\":", escape(key)));
             match value {
                 SeriesValue::Counter(v) => out.push_str(&v.to_string()),
                 SeriesValue::Gauge(v) => out.push_str(&v.to_string()),
@@ -756,21 +757,6 @@ pub fn help_text(base: &str) -> String {
     } else {
         format!("Current {words} reading.")
     }
-}
-
-/// Minimal JSON string escaping for series keys.
-fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '\\' => out.push_str("\\\\"),
-            '"' => out.push_str("\\\""),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]

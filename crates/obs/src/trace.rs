@@ -25,6 +25,7 @@
 //! installed, so each test run starts numbering from zero.
 
 use crate::clock::{Clock, SystemClock};
+use crate::json::escape;
 use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::marker::PhantomData;
@@ -97,13 +98,13 @@ impl Record {
                 seq,
             } => {
                 let parent = match parent {
-                    Some(p) => format!("\"{}\"", esc(p)),
+                    Some(p) => format!("\"{}\"", escape(p)),
                     None => "null".to_string(),
                 };
                 format!(
                     "{{\"kind\":\"span\",\"name\":\"{}\",\"parent\":{parent},\"ts_ms\":{ts_ms},\"dur_ms\":{dur_ms},\"thread\":\"{}\",\"seq\":{seq}}}",
-                    esc(name),
-                    esc(thread),
+                    escape(name),
+                    escape(thread),
                 )
             }
             Record::Log {
@@ -115,27 +116,11 @@ impl Record {
             } => format!(
                 "{{\"kind\":\"log\",\"level\":\"{}\",\"msg\":\"{}\",\"ts_ms\":{ts_ms},\"thread\":\"{}\",\"seq\":{seq}}}",
                 level.as_str(),
-                esc(msg),
-                esc(thread),
+                escape(msg),
+                escape(thread),
             ),
         }
     }
-}
-
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '\\' => out.push_str("\\\\"),
-            '"' => out.push_str("\\\""),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 thread_local! {

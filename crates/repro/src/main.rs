@@ -865,11 +865,7 @@ fn run() {
         return;
     }
     if which == "summary" {
-        let summary = summary::Summary::compute(&ctx, config.seed);
-        println!(
-            "{}",
-            serde_json::to_string_pretty(&summary).expect("serialize summary")
-        );
+        println!("{}", summary::Summary::compute(&ctx, config.seed).to_json());
         return;
     }
     if which == "all" {

@@ -413,7 +413,7 @@ fn fetch_prometheus(addr: &str, op: &str) -> std::io::Result<String> {
     )?;
     let mut resp = String::new();
     BufReader::new(stream).read_line(&mut resp)?;
-    let value = silentcert_serve::json::parse(&resp)
+    let value = silentcert_obs::json::parse(&resp)
         .map_err(|e| bad(format!("malformed {op} response: {e}")))?;
     if value.get("code").and_then(|c| c.as_f64()) != Some(200.0) {
         return Err(bad(format!("unexpected response: {}", resp.trim())));
@@ -436,9 +436,9 @@ fn fetch_fleet_json(addr: &str) -> std::io::Result<String> {
     if !resp.contains("\"code\":200") {
         return Err(bad(format!("unexpected response: {}", resp.trim())));
     }
-    // Print the embedded view object verbatim (it is already one-line
-    // JSON); find it structurally rather than re-rendering.
-    let value = silentcert_serve::json::parse(&resp)
+    // Re-render the embedded view object through `Value::render`: one
+    // line with its keys sorted, so not the router's bytes.
+    let value = silentcert_obs::json::parse(&resp)
         .map_err(|e| bad(format!("malformed fleet response: {e}")))?;
     value
         .get("fleet")

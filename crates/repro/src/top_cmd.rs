@@ -14,7 +14,7 @@
 //! served).
 
 use silentcert_obs::error;
-use silentcert_serve::json::{self, Value};
+use silentcert_obs::json::{self, Value};
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::path::Path;

@@ -13,6 +13,10 @@
 //! snapshot or Prometheus text exposition). Request handling emits
 //! `serve.*` spans through the global tracer.
 //!
+//! [`json`] is a re-export of `silentcert_obs::json`, the workspace's
+//! one JSON codec, kept so the benchmark's `silentcert_serve::json`
+//! paths still resolve.
+//!
 //! Linux only: the connection core and the load generator run on
 //! `epoll` ([`silentcert_net::epoll`]), and so does the cluster router
 //! built on them.
@@ -26,12 +30,13 @@ pub mod clock;
 pub mod event_loop;
 pub mod framing;
 pub mod journal;
-pub mod json;
 pub mod loadgen;
 pub mod protocol;
 pub mod server;
 pub mod signal;
 pub mod timer;
+
+pub use silentcert_obs::json;
 
 pub use breaker::{Admission, BreakerConfig, BreakerState, CircuitBreaker};
 pub use cache::ResponseCache;

@@ -41,6 +41,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use silentcert_net::epoll::{Event, Poller, EPOLLIN, EPOLLOUT, EPOLLRDHUP};
+use silentcert_obs::json;
 use silentcert_obs::trace::{self, Tracer};
 use std::collections::{HashMap, VecDeque};
 use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
@@ -366,7 +367,7 @@ fn newest_up_shard(addr: &str) -> Option<u32> {
         .ok()?;
     let mut resp = String::new();
     c.reader.read_line(&mut resp).ok()?;
-    let value = crate::json::parse(&resp).ok()?;
+    let value = json::parse(&resp).ok()?;
     if value.get("code").and_then(|v| v.as_f64()) != Some(200.0) {
         return None;
     }
@@ -396,7 +397,7 @@ pub fn fetch_metrics(addr: &str) -> Option<String> {
     // runs to the response's closing brace.
     let idx = resp.find("\"metrics\":")?;
     let obj = &resp[idx + "\"metrics\":".len()..resp.len() - 1];
-    crate::json::parse(obj).ok()?;
+    json::parse(obj).ok()?;
     Some(obj.to_string())
 }
 
@@ -955,7 +956,7 @@ mod tests {
             elapsed_ms: 100,
             ..LoadReport::default()
         };
-        let v = crate::json::parse(&r.to_json()).unwrap();
+        let v = json::parse(&r.to_json()).unwrap();
         assert_eq!(v.get("answered").unwrap().as_f64(), Some(10.0));
         assert_eq!(v.get("shed_rate").unwrap().as_f64(), Some(0.2));
     }

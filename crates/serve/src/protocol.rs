@@ -31,7 +31,7 @@
 //! injection for the supervision tests) is only honoured when the
 //! server enables chaos ops.
 
-use crate::json::{self, Value};
+use silentcert_obs::json::{self, Value};
 use silentcert_validate::Classification;
 use silentcert_x509::pem::base64_decode;
 use silentcert_x509::Certificate;
@@ -460,7 +460,7 @@ mod tests {
     fn response_lines_are_single_line_json() {
         let line = error_line("x\"y", code::SHED, "queue full");
         assert!(!line.contains('\n'));
-        let v = crate::json::parse(&line).unwrap();
+        let v = json::parse(&line).unwrap();
         assert_eq!(v.get("code").unwrap().as_f64(), Some(503.0));
         assert_eq!(v.get("id").unwrap().as_str(), Some("x\"y"));
         assert_eq!(v.get("error").unwrap().as_str(), Some("queue full"));
