@@ -1,6 +1,5 @@
 //! The workspace's one JSON codec: a reader for the wire protocol,
-//! [`Value::render`], and [`escape`], the one JSON string escaper every
-//! hand-written JSON line goes through.
+//! [`Value::render`], and [`escape`], the one JSON string escaper.
 //!
 //! The reader is deliberately strict and small: UTF-8 input, no trailing
 //! garbage, recursion depth capped (hostile clients send `[[[[…`),

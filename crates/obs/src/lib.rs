@@ -11,8 +11,8 @@
 //!   atomics-only: cheap enough for modpow and the validator memo.
 //! * [`json`] — the workspace's one JSON codec: the strict reader the
 //!   wire protocol parses with, [`Value::render`](json::Value::render),
-//!   and [`escape`](json::escape), the one JSON string escaper (moved
-//!   here from `silentcert-serve`, which re-exports it).
+//!   and [`escape`](json::escape), the one JSON string escaper
+//!   (`silentcert_serve::json` re-exports it for the benchmark).
 //! * [`fleet`] — the time-windowed aggregation core over per-shard
 //!   snapshot rings: counter-reset-aware rates, fleet quantiles by
 //!   bucket-wise window merge, and multi-window error-budget burn
